@@ -320,13 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                   description="multi-route cut toolkit")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def oracle_flags(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", default=None)
         p.add_argument("--oracle", choices=["exact", "sweep"], default="exact")
-        p.add_argument("--delta", default="0")
-        p.add_argument("--c", default="1")
-        p.add_argument("--ell", type=int, default=None)
 
     solve = sub.add_parser("solve", help="run a solver on an instance file")
     solve.add_argument("--alg", required=True, choices=sorted(SOLVERS))
@@ -335,13 +332,14 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--ratio", action="store_true",
                        help="include the brute-force optimum and ratio")
     solve.add_argument("--trace", action="store_true")
-    common(solve)
+    solve.add_argument("--delta", default="0")
+    solve.add_argument("--c", default="1")
+    oracle_flags(solve)
 
     verify = sub.add_parser("verify", help="check a solution file")
     verify.add_argument("--input", required=True)
     verify.add_argument("--solution", required=True)
     verify.add_argument("--k", type=int, default=None)
-    common(verify)
 
     oracle = sub.add_parser("oracle", help="run an exact oracle")
     oracle.add_argument("what", choices=["brute", "sparsest", "multicut"])
@@ -350,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--route", type=int, default=1)
     oracle.add_argument("--kind", choices=["uniform", "nonuniform"],
                         default="nonuniform")
-    common(oracle)
+    oracle.add_argument("--ell", type=int, default=None)
+    oracle_flags(oracle)
 
     reduce_p = sub.add_parser("reduce", help="apply an instance transformation")
     reduce_p.add_argument("what",
@@ -360,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--opt-guess", type=int, default=None)
     reduce_p.add_argument("--alpha", default=None)
     reduce_p.add_argument("--kappa", type=int, default=None)
-    common(reduce_p)
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--kind", choices=["random", "planted", "grid"],
@@ -369,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("n", "m", "r", "k", "wmin", "wmax", "w", "h", "cheap-bridges"):
         gen.add_argument(f"--{name}", type=int, default=None)
     gen.add_argument("--flavor", choices=["ec", "vc"], default=None)
-    common(gen)
+    gen.add_argument("--seed", type=int, default=0)
     return top
 
 

@@ -41,6 +41,10 @@ class NonUniformWeights(KrcError):
     """A uniform-weight algorithm was handed mixed edge weights."""
 
 
+class SelfCheckFailed(KrcError):
+    """A solver's re-check of its own output failed; nothing is returned."""
+
+
 class NoFeasibleGuess(KrcError):
     """No value on the guess grid produced a qualifying candidate."""
 

@@ -139,10 +139,6 @@ class DemandSet:
             counts[t] = counts.get(t, 0) + 1
         return counts
 
-    @property
-    def max_participation(self) -> int:
-        return max(self.per_vertex.values(), default=0)
-
     @cached_property
     def terminals(self) -> frozenset[int]:
         return frozenset(v for p in self.pairs for v in p)
@@ -184,14 +180,6 @@ class CutSolution:
 
 
 @dataclass(frozen=True)
-class DemandStats:
-    inside: int
-    outside: int
-    crossing: int
-    crossing_pairs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class InducedSubinstance:
     """A vertex-induced sub-instance plus the maps back to original ids."""
 
@@ -199,9 +187,6 @@ class InducedSubinstance:
     orig_vertex: tuple[int, ...]
     orig_edge: tuple[int, ...]
     orig_pair: tuple[int, ...]
-
-    def edges_to_original(self, local_ids: Iterable[int]) -> set[int]:
-        return {self.orig_edge[e] for e in local_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +397,6 @@ def is_feasible(inst: Instance, sol: CutSolution, relaxed_k: int) -> bool:
         if connectivity(inst.graph, s, t, inst.flavor, removed, limit=relaxed_k) >= relaxed_k:
             return False
     return True
-
-
-def demand_stats(demands: DemandSet, side: Iterable[int]) -> DemandStats:
-    side_set = frozenset(side)
-    inside = demands.count_in(side_set)
-    outside = 2 * demands.r - inside
-    crossing = tuple(i for i, (s, t) in enumerate(demands.pairs)
-                     if (s in side_set) != (t in side_set))
-    return DemandStats(inside, outside, len(crossing), crossing)
 
 
 def induced_subinstance(inst: Instance, side: Iterable[int]) -> InducedSubinstance:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
 
 from .errors import (ExactCapExceeded, FreeSetBlowup, Infeasible,
                      NoCandidateCut, SeparatorBlowup)
@@ -40,7 +39,6 @@ class OracleConfig:
 
     mode: str = "exact"
     exact_vertex_cap: int = 20
-    reported_factor: Optional[Fraction] = None
     seed: int = 0
     sweep_restarts: int = 3
     sweep_rounds: int = 8
@@ -50,8 +48,6 @@ class OracleConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "sweep"):
             raise ValueError(f"unknown oracle mode {self.mode!r}")
-        if self.mode == "exact" and self.reported_factor is None:
-            object.__setattr__(self, "reported_factor", Fraction(1))
 
     @property
     def multicut_mode(self) -> str:
@@ -254,18 +250,17 @@ def laminar_min_cut_family(g: Graph, demands: DemandSet) -> LaminarMinCutFamily:
 
 
 # ---------------------------------------------------------------------------
-# Exact sparsest-cut enumeration.
+# Sparse-cut scanning. Both backends pick a side of a graph whose vertices
+# carry demand counts d_of (summing to d_total) and whose split pairs count
+# for the non-uniform denominator; the best side comes back as a bit mask.
 
 
-@lru_cache(maxsize=64)
-def _mask_tables(g: Graph, demands: DemandSet):
+def _cut_tables(n: int, edges, d_of: list[int], pairs):
     """Per-vertex-subset cut weight and denominator tables."""
-    n = g.vertex_count
     size = 1 << n
     fin = [0] * size
     infc = [0] * size
-    for e in g.edges:
-        u, v, w = e
+    for u, v, w in edges:
         if w >= INF:
             for mask in range(size):
                 if ((mask >> u) ^ (mask >> v)) & 1:
@@ -274,38 +269,48 @@ def _mask_tables(g: Graph, demands: DemandSet):
             for mask in range(size):
                 if ((mask >> u) ^ (mask >> v)) & 1:
                     fin[mask] += w
-    pv = demands.per_vertex
-    d_of = [pv.get(v, 0) for v in range(n)]
     d_in = [0] * size
     for mask in range(1, size):
         low = (mask & -mask).bit_length() - 1
         d_in[mask] = d_in[mask & (mask - 1)] + d_of[low]
     cross = [0] * size
-    for s, t in demands.pairs:
+    for s, t in pairs:
         for mask in range(size):
             if ((mask >> s) ^ (mask >> t)) & 1:
                 cross[mask] += 1
     return fin, infc, d_in, cross
 
 
-def _exact_edge_best(g: Graph, demands: DemandSet, kind: CutKind,
-                     free: tuple[int, ...] = ()):
-    """Best (numerator, denominator, mask) over all sides, free edges waived."""
-    fin, infc, d_in, cross = _mask_tables(g, demands)
-    size = 1 << g.vertex_count
-    two_r = 2 * demands.r
-    free_edges = [(g.edges[e].u, g.edges[e].v, g.edges[e].w) for e in free]
-    best = None  # (num, den, mask)
-    for mask in range(1, size - 1):
+def _demand_counts(g: Graph, demands: DemandSet) -> list[int]:
+    pv = demands.per_vertex
+    return [pv.get(v, 0) for v in range(g.vertex_count)]
+
+
+@lru_cache(maxsize=64)
+def _mask_tables(g: Graph, demands: DemandSet):
+    """Cached tables of a whole graph, shared by all free sets of a scan."""
+    return _cut_tables(g.vertex_count, g.edges, _demand_counts(g, demands),
+                       demands.pairs)
+
+
+def _scan_masks(tables, n: int, d_total: int, kind: CutKind, free):
+    """Best (numerator, denominator, mask) over all proper sides.
+
+    `free` lists (u, v, w) tuples whose weight is waived from every cut; they
+    must be plain tuples, which unpack faster than Edge in this loop.
+    """
+    fin, infc, d_in, cross = tables
+    best = None
+    for mask in range(1, (1 << n) - 1):
         if kind is CutKind.UNIFORM:
-            den = min(d_in[mask], two_r - d_in[mask])
+            den = min(d_in[mask], d_total - d_in[mask])
         else:
             den = cross[mask]
         if den == 0:
             continue
         f = fin[mask]
         ic = infc[mask]
-        for u, v, w in free_edges:
+        for u, v, w in free:
             if ((mask >> u) ^ (mask >> v)) & 1:
                 if w >= INF:
                     ic -= 1
@@ -329,6 +334,7 @@ def _sweep_orderings(g: Graph, cfg: OracleConfig,
         w = glue if e.w >= INF else e.w
         nbrs[e.u].append((e.v, w))
         nbrs[e.v].append((e.u, w))
+    tots = [sum(w for _, w in nb) for nb in nbrs]
     rng = random.Random(cfg.seed)
     seen = set()
     orderings = []
@@ -337,7 +343,7 @@ def _sweep_orderings(g: Graph, cfg: OracleConfig,
         for _ in range(max(1, cfg.sweep_rounds)):
             nxt = []
             for v in range(n):
-                tot = sum(w for _, w in nbrs[v])
+                tot = tots[v]
                 if tot > 0:
                     avg = sum(w * x[u] for u, w in nbrs[v]) / tot
                     nxt.append(0.5 * x[v] + 0.5 * avg)
@@ -354,23 +360,21 @@ def _sweep_orderings(g: Graph, cfg: OracleConfig,
     return orderings
 
 
-def _sweep_edge_best(g: Graph, demands: DemandSet, kind: CutKind,
-                     cfg: OracleConfig, exclude: frozenset[int]):
-    """Best prefix cut over neighbor-averaging orderings; exact arithmetic."""
+def _sweep_prefix_best(g: Graph, d_of: list[int], d_total: int, pairs,
+                       kind: CutKind, cfg: OracleConfig,
+                       exclude: frozenset[int]):
+    """Best (numerator, denominator, mask) over the prefixes of the
+    neighbor-averaging orderings, excluded edges deleted; exact arithmetic."""
     n = g.vertex_count
-    two_r = 2 * demands.r
-    pv = demands.per_vertex
-    best = None  # (num, den, frozenset side)
+    best = None
     for order in _sweep_orderings(g, cfg, exclude):
         in_side = [False] * n
-        fin = 0
-        ic = 0
-        d_in = 0
-        crossing = 0
+        mask = fin = ic = d_in = crossing = 0
         for pos in range(n - 1):
             v = order[pos]
             in_side[v] = True
-            d_in += pv.get(v, 0)
+            mask |= 1 << v
+            d_in += d_of[v]
             for ei in g.incidence[v]:
                 if ei in exclude:
                     continue
@@ -381,29 +385,30 @@ def _sweep_edge_best(g: Graph, demands: DemandSet, kind: CutKind,
                     ic += sign
                 else:
                     fin += sign * e.w
-            for s, t in demands.pairs:
+            for s, t in pairs:
                 if s == v or t == v:
                     other = t if s == v else s
                     crossing += -1 if in_side[other] else 1
             if kind is CutKind.UNIFORM:
-                den = min(d_in, two_r - d_in)
+                den = min(d_in, d_total - d_in)
             else:
                 den = crossing
             if den == 0:
                 continue
             num = INF if ic > 0 else min(fin, INF)
             if best is None or num * best[1] < best[0] * den:
-                best = (num, den, frozenset(x for x in range(n) if in_side[x]))
+                best = (num, den, mask)
     return best
 
 
-def _best_to_cut(g: Graph, kind: CutKind, best, free: Iterable[int] = ()) -> SparseCut:
-    num, den, side = best
-    if not isinstance(side, frozenset):
-        side = frozenset(v for v in range(g.vertex_count) if (side >> v) & 1)
-    free_rec = frozenset(free) & set(g.cut_edges(side))
-    return SparseCut(side=side, kind=kind, residual_weight=num, denominator=den,
-                     sparsity=Fraction(num, den), free_edges=free_rec)
+def _check_exact_cap(n: int, cfg: OracleConfig) -> None:
+    if cfg.mode == "exact" and n > cfg.exact_vertex_cap:
+        raise ExactCapExceeded(
+            f"{n} vertices exceeds exact cap {cfg.exact_vertex_cap}")
+
+
+def _side(mask: int, vertices) -> frozenset[int]:
+    return frozenset(v for i, v in enumerate(vertices) if (mask >> i) & 1)
 
 
 def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
@@ -412,18 +417,24 @@ def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
     """Minimum-sparsity cut for the given kind (exact or sweep backend)."""
     if demands.r < 1:
         raise ValueError("need at least one demand pair")
+    _check_exact_cap(g.vertex_count, cfg)
     if cfg.mode == "exact":
-        if g.vertex_count > cfg.exact_vertex_cap:
-            raise ExactCapExceeded(
-                f"{g.vertex_count} vertices exceeds exact cap {cfg.exact_vertex_cap}")
         # Excluded edges are waived from every cut weight, which is the same
         # as deleting them and keeps the cached tables valid.
-        best = _exact_edge_best(g, demands, kind, tuple(sorted(exclude_edges)))
+        free = [tuple(g.edges[e]) for e in sorted(exclude_edges)]
+        best = _scan_masks(_mask_tables(g, demands), g.vertex_count,
+                           2 * demands.r, kind, free)
     else:
-        best = _sweep_edge_best(g, demands, kind, cfg, exclude_edges)
+        best = _sweep_prefix_best(g, _demand_counts(g, demands),
+                                  2 * demands.r, demands.pairs, kind, cfg,
+                                  exclude_edges)
     if best is None:
         raise NoCandidateCut("no cut with positive denominator")
-    return _best_to_cut(g, kind, best, exclude_edges)
+    num, den, mask = best
+    side = _side(mask, range(g.vertex_count))
+    return SparseCut(side=side, kind=kind, residual_weight=num, denominator=den,
+                     sparsity=Fraction(num, den),
+                     free_edges=frozenset(exclude_edges) & set(g.cut_edges(side)))
 
 
 def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
@@ -441,19 +452,18 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     if count > cfg.free_set_budget:
         raise FreeSetBlowup(
             f"{count} free sets exceed budget {cfg.free_set_budget}")
-    best = None  # (num, den, side frozenset, F)
+    best = None
     for free in itertools.combinations(range(g.edge_count), fsize):
         try:
             cut = sparsest_cut(g, demands, kind, cfg, exclude_edges=frozenset(free))
         except NoCandidateCut:
             continue
-        cand = (cut.residual_weight, cut.denominator, cut.side, free)
-        if best is None or cand[0] * best[1] < best[0] * cand[1]:
-            best = cand
+        if best is None or (cut.residual_weight * best.denominator
+                            < best.residual_weight * cut.denominator):
+            best = cut
     if best is None:
         raise NoCandidateCut("no candidate cut for any free set")
-    num, den, side, free = best
-    return _best_to_cut(g, kind, (num, den, side), free)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +595,7 @@ def _flip_partition(comps: list[list[int]], demands: DemandSet) -> list[bool]:
 
 
 def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
-                                    cfg: OracleConfig,
-                                    free_scale: Fraction = Fraction(1)) -> SparseCut:
+                                    cfg: OracleConfig) -> SparseCut:
     """Polynomial-time relaxed k-route sparsest cut via multicut rounding.
 
     Sweeps a grid of separated-pair targets and weight-clipping thresholds,
@@ -598,8 +607,7 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
         raise ValueError("k must be >= 2")
     if demands.r < 1:
         raise ValueError("need at least one demand pair")
-    factor = cfg.reported_factor if cfg.reported_factor is not None else Fraction(1)
-    f_target = 2 * math.ceil(factor * free_scale) * (k - 1)
+    f_target = 2 * (k - 1)
 
     finite_w = sorted({e.w for e in g.edges if e.w < INF and e.w > 0})
     if finite_w:
@@ -674,11 +682,8 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
     if demands.r < 1:
         raise ValueError("need at least one demand pair")
     n = g.vertex_count
-    if cfg.mode == "exact" and n > cfg.exact_vertex_cap:
-        raise ExactCapExceeded(
-            f"{n} vertices exceeds exact cap {cfg.exact_vertex_cap}")
+    _check_exact_cap(n, cfg)
     pv = demands.per_vertex
-    two_r = 2 * demands.r
     best = None  # (num, den, side frozenset, delta frozenset)
     for delta in _separator_candidates(n, k - 1, cfg.separator_budget):
         dset = frozenset(delta)
@@ -686,79 +691,23 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
         if len(rest) < 2:
             continue
         pos = {v: i for i, v in enumerate(rest)}
-        local_edges = [(pos[e.u], pos[e.v], e.w) for e in g.edges
-                       if e.u not in dset and e.v not in dset]
-        local_pairs = [(pos[s], pos[t]) for s, t in demands.pairs
-                       if s not in dset and t not in dset]
+        sub = Graph(len(rest), [(pos[e.u], pos[e.v], e.w) for e in g.edges
+                                if e.u not in dset and e.v not in dset])
+        pairs = [(pos[s], pos[t]) for s, t in demands.pairs
+                 if s not in dset and t not in dset]
         d_of = [pv.get(v, 0) for v in rest]
-        d_rest = sum(d_of)
-
         if cfg.mode == "exact":
-            nr = len(rest)
-            size = 1 << nr
-            fin_t = [0] * size
-            inf_t = [0] * size
-            for u, v, w in local_edges:
-                if w >= INF:
-                    for mask in range(size):
-                        if ((mask >> u) ^ (mask >> v)) & 1:
-                            inf_t[mask] += 1
-                else:
-                    for mask in range(size):
-                        if ((mask >> u) ^ (mask >> v)) & 1:
-                            fin_t[mask] += w
-            d_t = [0] * size
-            for mask in range(1, size):
-                low = (mask & -mask).bit_length() - 1
-                d_t[mask] = d_t[mask & (mask - 1)] + d_of[low]
-            cross_t = [0] * size
-            for s, t in local_pairs:
-                for mask in range(size):
-                    if ((mask >> s) ^ (mask >> t)) & 1:
-                        cross_t[mask] += 1
-            for mask in range(1, size - 1):
-                if kind is CutKind.UNIFORM:
-                    den = min(d_t[mask], d_rest - d_t[mask])
-                else:
-                    den = cross_t[mask]
-                if den == 0:
-                    continue
-                num = INF if inf_t[mask] > 0 else min(fin_t[mask], INF)
-                if best is None or num * best[1] < best[0] * den:
-                    side = frozenset(rest[i] for i in range(nr) if (mask >> i) & 1)
-                    best = (num, den, side, dset)
+            # Uncached: one table set per separator would crowd the cache.
+            tables = _cut_tables(len(rest), sub.edges, d_of, pairs)
+            found = _scan_masks(tables, len(rest), sum(d_of), kind, ())
         else:
-            sub = Graph(len(rest), local_edges)
-            for order in _sweep_orderings(sub, cfg, frozenset()):
-                in_side = [False] * len(rest)
-                fin = ic = d_in = crossing = 0
-                for posn in range(len(rest) - 1):
-                    v = order[posn]
-                    in_side[v] = True
-                    d_in += d_of[v]
-                    for u2, v2, w in local_edges:
-                        if u2 == v or v2 == v:
-                            other = v2 if u2 == v else u2
-                            sign = -1 if in_side[other] else 1
-                            if w >= INF:
-                                ic += sign
-                            else:
-                                fin += sign * w
-                    for s, t in local_pairs:
-                        if s == v or t == v:
-                            other = t if s == v else s
-                            crossing += -1 if in_side[other] else 1
-                    if kind is CutKind.UNIFORM:
-                        den = min(d_in, d_rest - d_in)
-                    else:
-                        den = crossing
-                    if den == 0:
-                        continue
-                    num = INF if ic > 0 else min(fin, INF)
-                    if best is None or num * best[1] < best[0] * den:
-                        side = frozenset(rest[i] for i in range(len(rest))
-                                         if in_side[i])
-                        best = (num, den, side, dset)
+            found = _sweep_prefix_best(sub, d_of, sum(d_of), pairs, kind, cfg,
+                                       frozenset())
+        if found is None:
+            continue
+        num, den, mask = found
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den, _side(mask, rest), dset)
     if best is None:
         raise NoCandidateCut("no (side, separator) pair with positive denominator")
     num, den, side, dset = best

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Infeasible, NoFeasibleGuess, NonUniformWeights
+from .errors import (Infeasible, NoFeasibleGuess, NonUniformWeights,
+                     SelfCheckFailed)
 from .graph import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
                     connectivity, induced_subinstance, is_feasible,
                     min_weight_edge_st_cut, min_weight_vertex_st_cut,
@@ -28,7 +29,6 @@ class SolverParams:
     oracle: OracleConfig = OracleConfig()
     delta: Fraction = Fraction(0)            # connectivity slack, [0, 1)
     c: Fraction = Fraction(1)                # single-pair cost tradeoff, > 0
-    free_scale: Fraction = Fraction(1)       # scales the bicriteria free set
     opt_grid_epsilon: Fraction = Fraction(1, 100)
 
     def __post_init__(self):
@@ -59,27 +59,101 @@ def _guard_finite(g: Graph, edge_ids) -> None:
                              "infinite-weight edge")
 
 
-def _translate_trace(entries, vmap, emap):
-    out = []
-    for rec in entries:
-        rec = dict(rec)
-        for key in ("cut_side", "separator"):
-            if key in rec:
-                rec[key] = sorted(vmap[v] for v in rec[key])
-        for key in ("free_edges", "removed_edges"):
-            if key in rec:
-                rec[key] = sorted(emap[e] for e in rec[key])
-        if "dropped_pairs" in rec:
-            rec["dropped_pairs"] = sorted(
-                [vmap[s], vmap[t]] for s, t in rec["dropped_pairs"])
-        out.append(rec)
-    return out
+def _side_edges(g: Graph, side: frozenset[int], outside: frozenset[int]):
+    return [i for i, e in enumerate(g.edges)
+            if (e.u in side and e.v in outside) or (e.v in side and e.u in outside)]
 
 
 def _finish(inst: Instance, removed, guarantee: int, trace) -> SolveResult:
     sol = CutSolution.from_edges(inst.graph, removed, guarantee)
-    assert is_feasible(inst, sol, guarantee), "solver produced an infeasible cut"
+    if not is_feasible(inst, sol, guarantee):
+        raise SelfCheckFailed("solver produced an infeasible cut")
     return SolveResult(sol, guarantee, tuple(trace))
+
+
+def _round_solve(inst: Instance, threshold: int, step) -> SolveResult:
+    """Round loop of `ec`, `ec-polytime` and `vc`.
+
+    Each round deletes a cut and drops the pairs that fell below the round's
+    bound. `step(g, demands)` sees the current graph and the live pairs and
+    returns (edge ids of g to delete, trace record, the round's bound);
+    "free_edges" in the record are ids of g too. Every round must drop a
+    pair, and the guarantee is the largest bound any round held its pairs to.
+    """
+    g = inst.graph
+    emap = list(range(g.edge_count))
+    pairs = _live_pairs(g, inst.demands.pairs, inst.flavor, threshold)
+    removed: set[int] = set()
+    trace = []
+    guarantee = threshold
+    while pairs:
+        e0, rec, bound = step(g, DemandSet(pairs))
+        _guard_finite(g, e0)
+        removed.update(emap[e] for e in e0)
+        guarantee = max(guarantee, bound)
+        if "free_edges" in rec:
+            rec["free_edges"] = sorted(emap[e] for e in rec["free_edges"])
+        rec["removed_edges"] = sorted(emap[e] for e in e0)
+        g, idmap = g.without_edges(e0)
+        emap = [emap[i] for i in idmap]
+        survivors = _live_pairs(g, pairs, inst.flavor, bound)
+        dropped = [p for p in pairs if p not in survivors]
+        if not dropped:
+            raise SelfCheckFailed("an iteration must drop at least one pair")
+        rec["dropped_pairs"] = sorted([s, t] for s, t in dropped)
+        trace.append(rec)
+        pairs = survivors
+    return _finish(inst, removed, guarantee, trace)
+
+
+def _split_solve(inst: Instance, threshold: int, split) -> SolveResult:
+    """Divide and conquer of `uniform-ec` and `two-route`, on an explicit stack.
+
+    `split(g, demands)` returns a SparseCut with side S and separator D of
+    the current sub-instance. The edges from S to the rest R are removed and
+    the induced sub-instances on S+D and R+D are solved in turn, so the trace
+    lists the splits in pre-order, with original vertex and edge ids. Vertex
+    instances record the separator.
+    """
+    g = inst.graph
+    stack = [(g, inst.demands.pairs, range(g.vertex_count), range(g.edge_count))]
+    removed: set[int] = set()
+    trace = []
+    while stack:
+        g, pairs, vmap, emap = stack.pop()
+        live = _live_pairs(g, pairs, inst.flavor, threshold)
+        if not live:
+            continue
+        cut = split(g, DemandSet(live))
+        side, delta = cut.side, cut.separator
+        outside = frozenset(range(g.vertex_count)) - side - delta
+        e0 = _side_edges(g, side, outside)
+        _guard_finite(g, e0)
+        removed.update(emap[e] for e in e0)
+        crossing = [(s, t) for s, t in live
+                    if (s in side and t in outside) or (t in side and s in outside)]
+        rec = {
+            "cut_side": sorted(vmap[v] for v in side),
+            "removed_edges": sorted(emap[e] for e in e0),
+            "sparsity": str(cut.sparsity),
+            "dropped_pairs": sorted([vmap[s], vmap[t]] for s, t in crossing),
+        }
+        if inst.flavor is Flavor.VERTEX:
+            rec["separator"] = sorted(vmap[v] for v in delta)
+        trace.append(rec)
+        parts = []
+        for part in (side | delta, outside | delta):
+            if len(part) >= g.vertex_count:
+                raise SelfCheckFailed("a split must shrink the vertex set")
+            shell = Instance(g, DemandSet((s, t) for s, t in live
+                                          if s in part and t in part),
+                             inst.k, inst.flavor)
+            sub = induced_subinstance(shell, part)
+            parts.append((sub.instance.graph, sub.instance.demands.pairs,
+                          [vmap[v] for v in sub.orig_vertex],
+                          [emap[e] for e in sub.orig_edge]))
+        stack.extend(reversed(parts))
+    return _finish(inst, removed, threshold, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -98,37 +172,8 @@ def solve_uniform_ec(inst: Instance, params: SolverParams) -> SolveResult:
     if len(weights) > 1:
         raise NonUniformWeights(f"distinct weights {sorted(weights)}")
     k_plus = math.ceil((1 + params.delta) * inst.k)
-    removed, trace = _uniform_rec(inst.graph, list(inst.demands.pairs),
-                                  k_plus, params)
-    return _finish(inst, removed, k_plus, trace)
-
-
-def _uniform_rec(g: Graph, pairs, k_plus: int, params: SolverParams):
-    live = _live_pairs(g, pairs, Flavor.EDGE, k_plus)
-    if not live:
-        return set(), []
-    dem = DemandSet(live)
-    cut = sparsest_cut(g, dem, CutKind.UNIFORM, params.oracle)
-    cut_ids = set(g.cut_edges(cut.side))
-    _guard_finite(g, cut_ids)
-    crossing = [(s, t) for s, t in live if (s in cut.side) != (t in cut.side)]
-    trace = [{
-        "cut_side": sorted(cut.side),
-        "removed_edges": sorted(cut_ids),
-        "sparsity": str(cut.sparsity),
-        "dropped_pairs": sorted([s, t] for s, t in crossing),
-    }]
-    removed = set(cut_ids)
-    inside = [(s, t) for s, t in live if (s in cut.side) == (t in cut.side)]
-    for side in (cut.side, frozenset(range(g.vertex_count)) - cut.side):
-        side_pairs = [(s, t) for s, t in inside if s in side]
-        shell = Instance(g, DemandSet(side_pairs), 1, Flavor.EDGE)
-        sub = induced_subinstance(shell, side)
-        sub_removed, sub_trace = _uniform_rec(
-            sub.instance.graph, list(sub.instance.demands.pairs), k_plus, params)
-        removed.update(sub.orig_edge[e] for e in sub_removed)
-        trace.extend(_translate_trace(sub_trace, sub.orig_vertex, sub.orig_edge))
-    return removed, trace
+    return _split_solve(inst, k_plus, lambda g, dem: sparsest_cut(
+        g, dem, CutKind.UNIFORM, params.oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -140,34 +185,18 @@ def solve_ec(inst: Instance, params: SolverParams) -> SolveResult:
     if inst.flavor is not Flavor.EDGE:
         raise ValueError("solve_ec needs an edge-connectivity instance")
     threshold = 2 * inst.k - 1
-    g = inst.graph
-    emap = list(range(g.edge_count))
-    pairs = _live_pairs(g, inst.demands.pairs, Flavor.EDGE, threshold)
-    removed: set[int] = set()
-    trace = []
-    while pairs:
-        dem = DemandSet(pairs)
+
+    def step(g, dem):
         cut = k_route_sparsest_cut(g, dem, threshold, CutKind.NONUNIFORM,
                                    params.oracle)
         cut_ids = sorted(g.cut_edges(cut.side), key=lambda i: (-g.edges[i].w, i))
-        free = cut_ids[:2 * inst.k - 2]
-        e0 = cut_ids[2 * inst.k - 2:]
-        _guard_finite(g, e0)
-        removed.update(emap[e] for e in e0)
-        trace.append({
+        return cut_ids[threshold - 1:], {
             "cut_side": sorted(cut.side),
-            "free_edges": sorted(emap[e] for e in free),
-            "removed_edges": sorted(emap[e] for e in e0),
+            "free_edges": cut_ids[:threshold - 1],
             "sparsity": str(cut.sparsity),
-        })
-        g, idmap = g.without_edges(e0)
-        emap = [emap[i] for i in idmap]
-        survivors = _live_pairs(g, pairs, Flavor.EDGE, threshold)
-        dropped = [p for p in pairs if p not in survivors]
-        trace[-1]["dropped_pairs"] = sorted([s, t] for s, t in dropped)
-        assert dropped, "an iteration must drop at least one pair"
-        pairs = survivors
-    return _finish(inst, removed, threshold, trace)
+        }, threshold
+
+    return _round_solve(inst, threshold, step)
 
 
 def solve_ec_polytime(inst: Instance, params: SolverParams) -> SolveResult:
@@ -184,37 +213,18 @@ def solve_ec_polytime(inst: Instance, params: SolverParams) -> SolveResult:
         # plain route enumeration is already a single empty free set.
         return solve_ec(inst, params)
     threshold = 2 * inst.k - 1
-    g = inst.graph
-    emap = list(range(g.edge_count))
-    pairs = _live_pairs(g, inst.demands.pairs, Flavor.EDGE, threshold)
-    removed: set[int] = set()
-    trace = []
-    guarantee = threshold
-    while pairs:
-        dem = DemandSet(pairs)
-        cut = k_route_sparsest_cut_bicriteria(g, dem, threshold, params.oracle,
-                                              free_scale=params.free_scale)
+
+    def step(g, dem):
+        cut = k_route_sparsest_cut_bicriteria(g, dem, threshold, params.oracle)
         k_prime = len(cut.free_edges) + 1
-        guarantee = max(guarantee, k_prime)
-        cut_ids = g.cut_edges(cut.side)
-        e0 = sorted(set(cut_ids) - cut.free_edges)
-        _guard_finite(g, e0)
-        removed.update(emap[e] for e in e0)
-        trace.append({
+        return sorted(set(g.cut_edges(cut.side)) - cut.free_edges), {
             "cut_side": sorted(cut.side),
-            "free_edges": sorted(emap[e] for e in cut.free_edges),
-            "removed_edges": sorted(emap[e] for e in e0),
+            "free_edges": cut.free_edges,
             "sparsity": str(cut.sparsity),
             "realized_k": k_prime,
-        })
-        g, idmap = g.without_edges(e0)
-        emap = [emap[i] for i in idmap]
-        survivors = _live_pairs(g, pairs, Flavor.EDGE, k_prime)
-        dropped = [p for p in pairs if p not in survivors]
-        trace[-1]["dropped_pairs"] = sorted([s, t] for s, t in dropped)
-        assert dropped, "an iteration must drop at least one pair"
-        pairs = survivors
-    return _finish(inst, removed, guarantee, trace)
+        }, k_prime
+
+    return _round_solve(inst, threshold, step)
 
 
 # ---------------------------------------------------------------------------
@@ -226,35 +236,18 @@ def solve_vc(inst: Instance, params: SolverParams) -> SolveResult:
     if inst.flavor is not Flavor.VERTEX:
         raise ValueError("solve_vc needs a vertex-connectivity instance")
     threshold = 2 * inst.k - 1
-    g = inst.graph
-    emap = list(range(g.edge_count))
-    pairs = _live_pairs(g, inst.demands.pairs, Flavor.VERTEX, threshold)
-    removed: set[int] = set()
-    trace = []
-    while pairs:
-        dem = DemandSet(pairs)
+
+    def step(g, dem):
         cut = vertex_k_route_sparsest_cut(g, dem, threshold, CutKind.NONUNIFORM,
                                           params.oracle)
         outside = frozenset(range(g.vertex_count)) - cut.side - cut.separator
-        e0 = [i for i, e in enumerate(g.edges)
-              if (e.u in cut.side and e.v in outside)
-              or (e.v in cut.side and e.u in outside)]
-        _guard_finite(g, e0)
-        removed.update(emap[e] for e in e0)
-        trace.append({
+        return _side_edges(g, cut.side, outside), {
             "cut_side": sorted(cut.side),
             "separator": sorted(cut.separator),
-            "removed_edges": sorted(emap[e] for e in e0),
             "sparsity": str(cut.sparsity),
-        })
-        g, idmap = g.without_edges(e0)
-        emap = [emap[i] for i in idmap]
-        survivors = _live_pairs(g, pairs, Flavor.VERTEX, threshold)
-        dropped = [p for p in pairs if p not in survivors]
-        trace[-1]["dropped_pairs"] = sorted([s, t] for s, t in dropped)
-        assert dropped, "an iteration must drop at least one pair"
-        pairs = survivors
-    return _finish(inst, removed, threshold, trace)
+        }, threshold
+
+    return _round_solve(inst, threshold, step)
 
 
 def solve_two_route(inst: Instance, params: SolverParams) -> SolveResult:
@@ -265,42 +258,8 @@ def solve_two_route(inst: Instance, params: SolverParams) -> SolveResult:
     """
     if inst.flavor is not Flavor.VERTEX or inst.k != 2:
         raise ValueError("solve_two_route needs a vertex instance with k=2")
-    removed, trace = _two_route_rec(inst.graph, list(inst.demands.pairs), params)
-    return _finish(inst, removed, 2, trace)
-
-
-def _two_route_rec(g: Graph, pairs, params: SolverParams):
-    live = _live_pairs(g, pairs, Flavor.VERTEX, 2)
-    if not live:
-        return set(), []
-    dem = DemandSet(live)
-    cut = vertex_k_route_sparsest_cut(g, dem, 2, CutKind.UNIFORM, params.oracle)
-    side, delta = cut.side, cut.separator
-    outside = frozenset(range(g.vertex_count)) - side - delta
-    e0 = [i for i, e in enumerate(g.edges)
-          if (e.u in side and e.v in outside) or (e.v in side and e.u in outside)]
-    _guard_finite(g, e0)
-    crossing = [(s, t) for s, t in live
-                if ((s in side and t in outside) or (t in side and s in outside))]
-    trace = [{
-        "cut_side": sorted(side),
-        "separator": sorted(delta),
-        "removed_edges": sorted(e0),
-        "sparsity": str(cut.sparsity),
-        "dropped_pairs": sorted([s, t] for s, t in crossing),
-    }]
-    removed = set(e0)
-    n = g.vertex_count
-    for part in (side | delta, outside | delta):
-        assert len(part) < n, "recursion must shrink the vertex set"
-        part_pairs = [(s, t) for s, t in live if s in part and t in part]
-        shell = Instance(g, DemandSet(part_pairs), 2, Flavor.VERTEX)
-        sub = induced_subinstance(shell, part)
-        sub_removed, sub_trace = _two_route_rec(
-            sub.instance.graph, list(sub.instance.demands.pairs), params)
-        removed.update(sub.orig_edge[e] for e in sub_removed)
-        trace.extend(_translate_trace(sub_trace, sub.orig_vertex, sub.orig_edge))
-    return removed, trace
+    return _split_solve(inst, 2, lambda g, dem: vertex_k_route_sparsest_cut(
+        g, dem, 2, CutKind.UNIFORM, params.oracle))
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,13 @@ def test_cli_reduce_commands(tmp_path):
     assert all(e.w == 1 for e in uni.graph.edges)
 
 
+def test_cli_rejects_flags_the_command_ignores(tmp_path):
+    inst_file = tmp_path / "p.krc"
+    inst_file.write_text(PATH_TEXT)
+    assert run(["reduce", "ec2vc", "--input", str(inst_file),
+                "--out", str(tmp_path / "image.krc"), "--delta", "1"]) == 2
+
+
 def test_cli_gen_writes_sidecar(tmp_path):
     out = tmp_path / "plant.krc"
     assert run(["gen", "--kind", "planted", "--k", "2", "--out", str(out),

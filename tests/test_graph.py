@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kroutecut import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
-                       demand_stats, induced_subinstance, is_feasible,
+                       induced_subinstance, is_feasible,
                        min_weight_edge_st_cut, min_weight_vertex_st_cut,
                        num_edge_disjoint_paths, num_vertex_disjoint_paths)
 from kroutecut.errors import Infeasible, InvalidVertex, NoSeparator
@@ -115,28 +115,6 @@ def test_infinite_edges_not_removable():
     g = Graph(2, [(0, 1, INF)])
     with pytest.raises(Infeasible):
         CutSolution.from_edges(g, [0], 1)
-
-
-def test_demand_stats_examples():
-    d = DemandSet([(0, 1)])
-    st = demand_stats(d, {0})
-    assert (st.inside, st.outside, st.crossing) == (1, 1, 1)
-    st = demand_stats(d, {0, 1})
-    assert st.crossing == 0
-    d2 = DemandSet([(0, 1), (0, 2)])
-    st = demand_stats(d2, {0, 1})
-    assert (st.inside, st.outside, st.crossing) == (3, 1, 1)
-    assert st.crossing_pairs == (1,)
-
-
-def test_demand_stats_sides_sum_to_2r():
-    rng = random.Random(4)
-    for _ in range(30):
-        n = rng.randint(2, 7)
-        d = DemandSet(random_pairs(rng, n, rng.randint(1, 4)))
-        side = {v for v in range(n) if rng.random() < 0.5}
-        st = demand_stats(d, side)
-        assert st.inside + st.outside == 2 * d.r
 
 
 def test_induced_subinstance():

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kroutecut
 from kroutecut import (DemandSet, Flavor, Graph, Instance, OracleConfig,
                        SolverParams, is_feasible, num_vertex_disjoint_paths,
                        solve_ec, solve_ec_polytime, solve_st, solve_two_route,
@@ -294,3 +299,24 @@ def test_st_all_zero_weights():
                                (2, 3, INF)], [(0, 3)], 2, Flavor.VERTEX)
     with pytest.raises(Infeasible):
         solve_st(pinned, PARAMS)
+
+
+def test_self_check_raises_under_optimize():
+    # The output re-check must survive python -O, which strips asserts.
+    script = (
+        "import kroutecut.solvers as solvers\n"
+        "from kroutecut.cli import gen_instance\n"
+        "from kroutecut.errors import SelfCheckFailed\n"
+        "solvers.is_feasible = lambda *args: False\n"
+        "inst, _ = gen_instance('random', {}, 0)\n"
+        "try:\n"
+        "    solvers.solve_ec(inst, solvers.SolverParams())\n"
+        "except SelfCheckFailed:\n"
+        "    print('SelfCheckFailed')\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(kroutecut.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "SelfCheckFailed"
