@@ -321,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def oracle_flags(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", default=None)
         p.add_argument("--oracle", choices=["exact", "sweep"], default="exact")
 
@@ -334,6 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", action="store_true")
     solve.add_argument("--delta", default="0")
     solve.add_argument("--c", default="1")
+    solve.add_argument("--seed", type=int, default=0)
     oracle_flags(solve)
 
     verify = sub.add_parser("verify", help="check a solution file")
@@ -429,8 +429,8 @@ def _cmd_oracle(args) -> int:
     elif args.what == "multicut":
         from .oracles import l_multicut
         ell = inst.demands.r if args.ell is None else args.ell
-        cfg = OracleConfig(mode=args.oracle, seed=args.seed)
-        cut = l_multicut(inst.graph, inst.demands, ell, cfg)
+        cut = l_multicut(inst.graph, inst.demands, ell,
+                         OracleConfig(mode=args.oracle))
         print(sum(inst.graph.weight(e) for e in cut))
         if args.report:
             write_report({
@@ -444,6 +444,14 @@ def _cmd_oracle(args) -> int:
         cut = exact.brute_force_sparsest(inst.graph, inst.demands, args.route,
                                          inst.flavor, kind)
         print(str(cut.sparsity))
+        if args.report:
+            write_report({
+                "instance": args.input,
+                "route": args.route,
+                "kind": args.kind,
+                "sparsity": str(cut.sparsity),
+                "side": sorted(cut.side),
+            }, args.report)
     return 0
 
 

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import mpmath
-
 from .errors import CapExceeded, Infeasible
 from .graph import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
                     connectivity, wsum)
@@ -42,6 +40,9 @@ def log_lower(x: int, digits: int = 50) -> Fraction:
     """Rational lower bound on ln(x), within 10^-digits of the true value."""
     if x <= 0:
         raise ValueError("log_lower needs a positive argument")
+    # Imported here: mpmath adds about 4 MiB and 40 ms to every import of the
+    # package, and only the ratio bounds need it.
+    import mpmath
     with mpmath.workdps(digits + 15):
         scaled = mpmath.floor(mpmath.ln(x) * mpmath.mpf(10) ** digits)
     return Fraction(int(scaled) - 1, 10 ** digits)

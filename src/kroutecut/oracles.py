@@ -255,29 +255,40 @@ def laminar_min_cut_family(g: Graph, demands: DemandSet) -> LaminarMinCutFamily:
 # for the non-uniform denominator; the best side comes back as a bit mask.
 
 
+def _cut_table(n: int, weighted_edges) -> list[int]:
+    """Crossing weight of every vertex subset, by a low-bit DP.
+
+    A subset whose lowest vertex is v is v added to a subset S of higher
+    vertices, and adding v changes the cut by deg(v) minus twice the weight
+    from v into S; with the lowest vertex taken from n-1 down, the whole
+    table costs O(2^n) after an O(n^2 + m) adjacency matrix.
+    """
+    adj = [[0] * n for _ in range(n)]
+    for u, v, w in weighted_edges:
+        adj[u][v] += w
+        adj[v][u] += w
+    table = [0] * (1 << n)
+    for low in range(n - 1, -1, -1):
+        row = adj[low]
+        deg = sum(row)
+        up = [0]  # up[S]: weight from low into S, bit j of S = vertex low+1+j
+        for w in row[low + 1:]:
+            up += [x + w for x in up]
+        step = 2 << low
+        table[1 << low::step] = [t + deg - 2 * x
+                                 for t, x in zip(table[::step], up)]
+    return table
+
+
 def _cut_tables(n: int, edges, d_of: list[int], pairs):
     """Per-vertex-subset cut weight and denominator tables."""
-    size = 1 << n
-    fin = [0] * size
-    infc = [0] * size
-    for u, v, w in edges:
-        if w >= INF:
-            for mask in range(size):
-                if ((mask >> u) ^ (mask >> v)) & 1:
-                    infc[mask] += 1
-        else:
-            for mask in range(size):
-                if ((mask >> u) ^ (mask >> v)) & 1:
-                    fin[mask] += w
-    d_in = [0] * size
-    for mask in range(1, size):
+    fin = _cut_table(n, [(u, v, w) for u, v, w in edges if w < INF])
+    infc = _cut_table(n, [(u, v, 1) for u, v, w in edges if w >= INF])
+    d_in = [0] * (1 << n)
+    for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
         d_in[mask] = d_in[mask & (mask - 1)] + d_of[low]
-    cross = [0] * size
-    for s, t in pairs:
-        for mask in range(size):
-            if ((mask >> s) ^ (mask >> t)) & 1:
-                cross[mask] += 1
+    cross = _cut_table(n, [(s, t, 1) for s, t in pairs])
     return fin, infc, d_in, cross
 
 
@@ -286,39 +297,65 @@ def _demand_counts(g: Graph, demands: DemandSet) -> list[int]:
     return [pv.get(v, 0) for v in range(g.vertex_count)]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _mask_tables(g: Graph, demands: DemandSet):
-    """Cached tables of a whole graph, shared by all free sets of a scan."""
+    """Tables of a whole graph; a scan reads them once, so one set is kept."""
     return _cut_tables(g.vertex_count, g.edges, _demand_counts(g, demands),
                        demands.pairs)
 
 
-def _scan_masks(tables, n: int, d_total: int, kind: CutKind, free):
-    """Best (numerator, denominator, mask) over all proper sides.
+def _heaviest_first(g: Graph, edge_ids) -> list[int]:
+    """Edge ids by weight, heaviest (INF) first, then by id."""
+    return sorted(edge_ids, key=lambda i: (-g.edges[i].w, i))
 
-    `free` lists (u, v, w) tuples whose weight is waived from every cut; they
-    must be plain tuples, which unpack faster than Edge in this loop.
+
+def _scan_masks(tables, n: int, d_total: int, kind: CutKind,
+                ranked=(), waive: int = 0, tie_key=None):
+    """Least-sparsity proper side as (numerator, denominator, mask), or None
+    if no side has a positive denominator.
+
+    Each side waives the first `waive` edges of `ranked`, (u, v, w) tuples,
+    that cross it; with `ranked` heaviest first those are its `waive`
+    heaviest cut edges. Plain tuples unpack faster than Edge in this loop.
+    A tie in sparsity goes to the smaller `tie_key(mask, numerator)` if one
+    is given, else to the first mask; the winner keeps its own numerator and
+    denominator, since 0/2 ties 0/1.
     """
     fin, infc, d_in, cross = tables
-    best = None
+    if kind is CutKind.UNIFORM:
+        dens = [min(d, d_total - d) for d in d_in]
+    else:
+        dens = cross
+    best = best_key = None
+    best_num, best_den = 1, 0  # worse than any num/den with den > 0
     for mask in range(1, (1 << n) - 1):
-        if kind is CutKind.UNIFORM:
-            den = min(d_in[mask], d_total - d_in[mask])
-        else:
-            den = cross[mask]
+        den = dens[mask]
         if den == 0:
             continue
         f = fin[mask]
         ic = infc[mask]
-        for u, v, w in free:
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                if w >= INF:
-                    ic -= 1
-                else:
-                    f -= w
+        left = waive
+        if left:
+            for u, v, w in ranked:
+                if w == 0:
+                    break
+                if ((mask >> u) ^ (mask >> v)) & 1:
+                    if w >= INF:
+                        ic -= 1
+                    else:
+                        f -= w
+                    left -= 1
+                    if not left:
+                        break
         num = INF if ic > 0 else min(f, INF)
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den, mask)
+        lhs = num * best_den
+        rhs = best_num * den
+        if lhs > rhs or (lhs == rhs and tie_key is None):
+            continue
+        key = None if tie_key is None else tie_key(mask, num)
+        if lhs < rhs or key < best_key:
+            best, best_key = (num, den, mask), key
+            best_num, best_den = num, den
     return best
 
 
@@ -421,9 +458,10 @@ def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
     if cfg.mode == "exact":
         # Excluded edges are waived from every cut weight, which is the same
         # as deleting them and keeps the cached tables valid.
-        free = [tuple(g.edges[e]) for e in sorted(exclude_edges)]
+        ranked = [tuple(g.edges[e])
+                  for e in _heaviest_first(g, exclude_edges)]
         best = _scan_masks(_mask_tables(g, demands), g.vertex_count,
-                           2 * demands.r, kind, free)
+                           2 * demands.r, kind, ranked, len(ranked))
     else:
         best = _sweep_prefix_best(g, _demand_counts(g, demands),
                                   2 * demands.r, demands.pairs, kind, cfg,
@@ -437,13 +475,44 @@ def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
                      free_edges=frozenset(exclude_edges) & set(g.cut_edges(side)))
 
 
+def _first_free_set(g: Graph, order: list[int], size: int, mask: int,
+                    num: int) -> tuple[int, ...]:
+    """First free set of `size` edges, in `itertools.combinations` order,
+    that leaves side `mask` its least residual weight `num`.
+
+    An INF residual is left by every free set, so the first one wins.
+    Otherwise a free set is optimal iff it holds the `size` largest savings,
+    where an edge saves its weight if it crosses the side and nothing if
+    not. The first such set takes the crossing edges of positive weight in
+    `order` (ids heaviest first) up to `size`, then the smallest other ids.
+    """
+    if num >= INF:
+        return tuple(range(size))
+    free = []
+    for i in order:
+        u, v, w = g.edges[i]
+        if len(free) == size or w == 0:
+            break
+        if ((mask >> u) ^ (mask >> v)) & 1:
+            free.append(i)
+    taken = set(free)
+    rest = (i for i in range(g.edge_count) if i not in taken)
+    free += itertools.islice(rest, size - len(free))
+    return tuple(sorted(free))
+
+
 def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
                          cfg: OracleConfig) -> SparseCut:
     """Minimizer of residual sparsity with k-1 edges waived.
 
-    Enumerates every free set F of size k-1 and runs the plain oracle on the
-    graph with F excluded; with the exact backend this is the true k-route
-    sparsest cut.
+    For a fixed side the best k-1 edges to waive are its k-1 heaviest cut
+    edges, so exact mode makes one pass over the sides with those waived:
+    the true k-route sparsest cut. Among optimal (free set, side) pairs it
+    returns the first free set in `itertools.combinations` order, then the
+    first side. Sweep mode runs the plain sweep once per free set of size
+    k-1 with that set deleted. The free-set budget is checked in both modes,
+    so that both refuse the same inputs; exact mode does not enumerate
+    free sets, and the check can go once sweep mode stops doing so too.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -452,6 +521,23 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     if count > cfg.free_set_budget:
         raise FreeSetBlowup(
             f"{count} free sets exceed budget {cfg.free_set_budget}")
+    if cfg.mode == "exact":
+        if demands.r < 1:
+            raise ValueError("need at least one demand pair")
+        _check_exact_cap(g.vertex_count, cfg)
+        order = _heaviest_first(g, range(g.edge_count))
+        best = _scan_masks(
+            _mask_tables(g, demands), g.vertex_count, 2 * demands.r, kind,
+            [tuple(g.edges[i]) for i in order], fsize,
+            lambda mask, num: _first_free_set(g, order, fsize, mask, num))
+        if best is None:
+            raise NoCandidateCut("no candidate cut for any free set")
+        num, den, mask = best
+        side = _side(mask, range(g.vertex_count))
+        free = _first_free_set(g, order, fsize, mask, num)
+        return SparseCut(side=side, kind=kind, residual_weight=num,
+                         denominator=den, sparsity=Fraction(num, den),
+                         free_edges=frozenset(free) & set(g.cut_edges(side)))
     best = None
     for free in itertools.combinations(range(g.edge_count), fsize):
         try:
@@ -697,9 +783,9 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
                  if s not in dset and t not in dset]
         d_of = [pv.get(v, 0) for v in rest]
         if cfg.mode == "exact":
-            # Uncached: one table set per separator would crowd the cache.
+            # Uncached: each separator's tables are read once.
             tables = _cut_tables(len(rest), sub.edges, d_of, pairs)
-            found = _scan_masks(tables, len(rest), sum(d_of), kind, ())
+            found = _scan_masks(tables, len(rest), sum(d_of), kind)
         else:
             found = _sweep_prefix_best(sub, d_of, sum(d_of), pairs, kind, cfg,
                                        frozenset())

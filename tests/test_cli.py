@@ -227,3 +227,21 @@ def test_cli_oracle_multicut(tmp_path):
         "p krc ec 5 4 2 1\ne 0 1 1\ne 0 2 1\ne 0 3 1\ne 0 4 1\nd 1 2\nd 3 4\n")
     code = run(["oracle", "multicut", "--input", str(inst_file), "--ell", "1"])
     assert code == 0
+
+
+def test_cli_oracle_rejects_seed(tmp_path):
+    inst_file = tmp_path / "p.krc"
+    inst_file.write_text(PATH_TEXT)
+    assert run(["oracle", "multicut", "--input", str(inst_file),
+                "--seed", "1"]) == 2
+
+
+def test_cli_oracle_sparsest_report(tmp_path):
+    inst_file = tmp_path / "p.krc"
+    inst_file.write_text(PATH_TEXT)
+    out = tmp_path / "sparsest.json"
+    assert run(["oracle", "sparsest", "--input", str(inst_file), "--route",
+                "2", "--kind", "uniform", "--report", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "instance": str(inst_file), "route": 2, "kind": "uniform",
+        "sparsity": "0", "side": [0]}

@@ -9,10 +9,11 @@ from kroutecut import (INF, DemandSet, Flavor, Graph, OracleConfig,
                        k_route_sparsest_cut_bicriteria, l_multicut,
                        laminar_min_cut_family, min_weight_edge_st_cut,
                        sparsest_cut, vertex_k_route_sparsest_cut)
-from kroutecut.errors import ExactCapExceeded, FreeSetBlowup, Infeasible
+from kroutecut.errors import (ExactCapExceeded, FreeSetBlowup, Infeasible,
+                              NoCandidateCut)
 from kroutecut.exact import brute_force_sparsest
 from kroutecut.graph import wsum
-from kroutecut.oracles import CutKind
+from kroutecut.oracles import CutKind, _cut_tables
 
 from helpers import cut_weight, random_graph, random_instance, random_pairs
 
@@ -386,3 +387,83 @@ def test_sweep_vertex_oracle_uniform_kind_fields():
         assert num == cut.residual_weight
         den = min(d.count_in(cut.side), d.count_in(outside))
         assert den == cut.denominator > 0
+
+
+def _naive_tables(n, edges, d_of, pairs):
+    """Cut and denominator tables built one subset and one edge at a time."""
+    fin, infc, d_in, cross = [], [], [], []
+    for mask in range(1 << n):
+        cut = [w for u, v, w in edges if ((mask >> u) ^ (mask >> v)) & 1]
+        fin.append(sum(w for w in cut if w < INF))
+        infc.append(sum(1 for w in cut if w >= INF))
+        d_in.append(sum(d_of[v] for v in range(n) if (mask >> v) & 1))
+        cross.append(sum(1 for s, t in pairs
+                         if ((mask >> s) ^ (mask >> t)) & 1))
+    return fin, infc, d_in, cross
+
+
+def _k_route_by_free_sets(g, d, k, kind):
+    """Exact k-route sparsest cut the long way: one scan over every side per
+    free set of size k-1, in combinations order, strict improvement only."""
+    n = g.vertex_count
+    fin, infc, d_in, cross = _naive_tables(
+        n, g.edges, [d.per_vertex.get(v, 0) for v in range(n)], d.pairs)
+    best = None  # (num, den, mask, free)
+    for free in itertools.combinations(range(g.edge_count),
+                                       min(k - 1, g.edge_count)):
+        for mask in range(1, (1 << n) - 1):
+            if kind is CutKind.UNIFORM:
+                den = min(d_in[mask], 2 * d.r - d_in[mask])
+            else:
+                den = cross[mask]
+            if den == 0:
+                continue
+            f, ic = fin[mask], infc[mask]
+            for u, v, w in (g.edges[i] for i in free):
+                if ((mask >> u) ^ (mask >> v)) & 1:
+                    if w >= INF:
+                        ic -= 1
+                    else:
+                        f -= w
+            num = INF if ic > 0 else min(f, INF)
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den, mask, free)
+    if best is None:
+        return None
+    num, den, mask, free = best
+    side = frozenset(v for v in range(n) if (mask >> v) & 1)
+    return side, num, den, frozenset(free) & set(g.cut_edges(side))
+
+
+def test_cut_tables_match_naive():
+    rng = random.Random(151)
+    cases = [(1, [], [], [0]), (2, [], [], [0, 0]),
+             (2, [(0, 1, 3), (1, 0, INF), (0, 1, 0)], [(0, 1)], [1, 1])]
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n, rng.randint(0, 12), wmin=0, inf_prob=0.2)
+        d = DemandSet(random_pairs(rng, n, rng.randint(1, 4)))
+        cases.append((n, g.edges, d.pairs,
+                      [d.per_vertex.get(v, 0) for v in range(n)]))
+    for n, edges, pairs, d_of in cases:
+        assert _cut_tables(n, edges, d_of, pairs) == \
+            _naive_tables(n, edges, d_of, pairs)
+
+
+def test_k_route_exact_matches_free_set_loop():
+    rng = random.Random(157)
+    for _ in range(1000):
+        n = rng.randint(2, 5)
+        g = random_graph(rng, n, rng.randint(0, 6), wmin=0, wmax=4,
+                         inf_prob=0.15)
+        d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
+        k = rng.randint(1, 5)
+        for kind in (CutKind.UNIFORM, CutKind.NONUNIFORM):
+            want = _k_route_by_free_sets(g, d, k, kind)
+            if want is None:
+                with pytest.raises(NoCandidateCut):
+                    k_route_sparsest_cut(g, d, k, kind, EXACT)
+                continue
+            got = k_route_sparsest_cut(g, d, k, kind, EXACT)
+            assert (got.side, got.residual_weight, got.denominator,
+                    got.free_edges) == want
