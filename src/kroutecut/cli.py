@@ -320,10 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   description="multi-route cut toolkit")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def oracle_flags(p):
-        p.add_argument("--report", default=None)
-        p.add_argument("--oracle", choices=["exact", "sweep"], default="exact")
-
     solve = sub.add_parser("solve", help="run a solver on an instance file")
     solve.add_argument("--alg", required=True, choices=sorted(SOLVERS))
     solve.add_argument("--input", required=True)
@@ -334,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--delta", default="0")
     solve.add_argument("--c", default="1")
     solve.add_argument("--seed", type=int, default=0)
-    oracle_flags(solve)
+    solve.add_argument("--report", default=None)
+    solve.add_argument("--oracle", choices=["exact", "sweep"], default="exact")
 
     verify = sub.add_parser("verify", help="check a solution file")
     verify.add_argument("--input", required=True)
@@ -342,14 +339,19 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k", type=int, default=None)
 
     oracle = sub.add_parser("oracle", help="run an exact oracle")
-    oracle.add_argument("what", choices=["brute", "sparsest", "multicut"])
-    oracle.add_argument("--input", required=True)
-    oracle.add_argument("--k", type=int, default=None)
-    oracle.add_argument("--route", type=int, default=1)
-    oracle.add_argument("--kind", choices=["uniform", "nonuniform"],
-                        default="nonuniform")
-    oracle.add_argument("--ell", type=int, default=None)
-    oracle_flags(oracle)
+    whats = oracle.add_subparsers(dest="what", required=True)
+    brute, sparsest, multicut = (whats.add_parser(name) for name in
+                                 ("brute", "sparsest", "multicut"))
+    for p in (brute, sparsest, multicut):
+        p.add_argument("--input", required=True)
+        p.add_argument("--report", default=None)
+    brute.add_argument("--k", type=int, default=None)
+    sparsest.add_argument("--route", type=int, default=1)
+    sparsest.add_argument("--kind", choices=["uniform", "nonuniform"],
+                          default="nonuniform")
+    multicut.add_argument("--ell", type=int, default=None)
+    multicut.add_argument("--oracle", choices=["exact", "sweep"],
+                          default="exact")
 
     reduce_p = sub.add_parser("reduce", help="apply an instance transformation")
     reduce_p.add_argument("what",
@@ -416,7 +418,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inst = _load_instance(args.input, args.k)
+    inst = _load_instance(args.input, getattr(args, "k", None))
     if args.what == "brute":
         sol = exact.brute_force_opt(inst)
         print(sol.total_weight)

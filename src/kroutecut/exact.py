@@ -11,7 +11,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .errors import CapExceeded, Infeasible
@@ -35,7 +34,6 @@ class RatioReport:
     within_bound: Optional[bool]
 
 
-@lru_cache(maxsize=None)
 def log_lower(x: int, digits: int = 50) -> Fraction:
     """Rational lower bound on ln(x), within 10^-digits of the true value."""
     if x <= 0:

@@ -280,18 +280,6 @@ def _cut_table(n: int, weighted_edges) -> list[int]:
     return table
 
 
-def _cut_tables(n: int, edges, d_of: list[int], pairs):
-    """Per-vertex-subset cut weight and denominator tables."""
-    fin = _cut_table(n, [(u, v, w) for u, v, w in edges if w < INF])
-    infc = _cut_table(n, [(u, v, 1) for u, v, w in edges if w >= INF])
-    d_in = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        d_in[mask] = d_in[mask & (mask - 1)] + d_of[low]
-    cross = _cut_table(n, [(s, t, 1) for s, t in pairs])
-    return fin, infc, d_in, cross
-
-
 def _demand_counts(g: Graph, demands: DemandSet) -> list[int]:
     pv = demands.per_vertex
     return [pv.get(v, 0) for v in range(g.vertex_count)]
@@ -299,9 +287,16 @@ def _demand_counts(g: Graph, demands: DemandSet) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _mask_tables(g: Graph, demands: DemandSet):
-    """Tables of a whole graph; a scan reads them once, so one set is kept."""
-    return _cut_tables(g.vertex_count, g.edges, _demand_counts(g, demands),
-                       demands.pairs)
+    """Finite cut weight, INF cut edges, terminals inside and pairs split,
+    per vertex subset of a graph, for the exact oracles; one set is kept."""
+    n = g.vertex_count
+    fin = _cut_table(n, [(u, v, w) for u, v, w in g.edges if w < INF])
+    infc = _cut_table(n, [(u, v, 1) for u, v, w in g.edges if w >= INF])
+    d_in = [0]
+    for d in _demand_counts(g, demands):
+        d_in += [x + d for x in d_in]
+    cross = _cut_table(n, [(s, t, 1) for s, t in demands.pairs])
+    return fin, infc, d_in, cross
 
 
 def _heaviest_first(g: Graph, edge_ids) -> list[int]:
@@ -755,6 +750,32 @@ def _separator_candidates(n: int, max_size: int, budget: int):
         yield from itertools.combinations(range(n), size)
 
 
+def _scan_separated(fin, infc, d_in, cross, rest, dm: int, kind: CutKind):
+    """`_scan_masks` of G - D, D the vertex mask `dm` and `rest` the others
+    ascending, from G's tables: each table c gives G - D's as
+    (c(S) + c(S | D) - c(D)) / 2. Floats shortlist, exact products decide."""
+    subs = [0]
+    for v in rest:
+        subs += [s | 1 << v for s in subs]
+
+    def minus_d(table):  # each side's count in G - D
+        return [(table[s] + table[s | dm] - table[dm]) >> 1 for s in subs]
+    nums = [INF if i or f >= INF else f
+            for f, i in zip(minus_d(fin), minus_d(infc))]
+    d_total = d_in[subs[-1]]
+    dens = (minus_d(cross) if kind is CutKind.NONUNIFORM else
+            [min(d, d_total - d) for d in map(d_in.__getitem__, subs)])
+    quots = [f / d if d else math.inf for f, d in zip(nums, dens)]
+    low = min(quots)
+    if low == math.inf:
+        return None
+    best = quots.index(low)
+    for i in itertools.compress(range(len(quots)), map(low.__eq__, quots)):
+        if nums[i] * dens[best] < nums[best] * dens[i]:
+            best = i
+    return nums[best], dens[best], best
+
+
 def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
                                 kind: CutKind, cfg: OracleConfig) -> SparseCut:
     """Minimizer over (side S, separator D) with |D| <= k-1 of the sparsity
@@ -762,6 +783,7 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
 
     Pairs with an endpoint inside the separator never count toward the
     split-pair denominator; terminal-count denominators keep full counts.
+    Exact mode reads each G - D from G's tables. Ties: first D, then first S.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -769,24 +791,22 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
         raise ValueError("need at least one demand pair")
     n = g.vertex_count
     _check_exact_cap(n, cfg)
-    pv = demands.per_vertex
     best = None  # (num, den, side frozenset, delta frozenset)
     for delta in _separator_candidates(n, k - 1, cfg.separator_budget):
         dset = frozenset(delta)
         rest = [v for v in range(n) if v not in dset]
         if len(rest) < 2:
             continue
-        pos = {v: i for i, v in enumerate(rest)}
-        sub = Graph(len(rest), [(pos[e.u], pos[e.v], e.w) for e in g.edges
-                                if e.u not in dset and e.v not in dset])
-        pairs = [(pos[s], pos[t]) for s, t in demands.pairs
-                 if s not in dset and t not in dset]
-        d_of = [pv.get(v, 0) for v in rest]
         if cfg.mode == "exact":
-            # Uncached: each separator's tables are read once.
-            tables = _cut_tables(len(rest), sub.edges, d_of, pairs)
-            found = _scan_masks(tables, len(rest), sum(d_of), kind)
+            found = _scan_separated(*_mask_tables(g, demands), rest,
+                                    sum(1 << v for v in delta), kind)
         else:
+            pos = {v: i for i, v in enumerate(rest)}
+            sub = Graph(len(rest), [(pos[e.u], pos[e.v], e.w) for e in g.edges
+                                    if e.u not in dset and e.v not in dset])
+            pairs = [(pos[s], pos[t]) for s, t in demands.pairs
+                     if s not in dset and t not in dset]
+            d_of = [demands.per_vertex.get(v, 0) for v in rest]
             found = _sweep_prefix_best(sub, d_of, sum(d_of), pairs, kind, cfg,
                                        frozenset())
         if found is None:

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kroutecut
 from kroutecut import Flavor, INF
 from kroutecut.cli import (build_report, gen_instance, parse_bipartite,
                            parse_hypergraph, parse_instance, render_bipartite,
@@ -197,6 +202,24 @@ def test_cli_rejects_flags_the_command_ignores(tmp_path):
     inst_file.write_text(PATH_TEXT)
     assert run(["reduce", "ec2vc", "--input", str(inst_file),
                 "--out", str(tmp_path / "image.krc"), "--delta", "1"]) == 2
+
+
+def test_cli_oracle_mode_only_for_multicut(tmp_path):
+    inst_file = tmp_path / "p.krc"
+    inst_file.write_text(PATH_TEXT)
+    for what in ("brute", "sparsest"):
+        assert run(["oracle", what, "--input", str(inst_file),
+                    "--oracle", "exact"]) == 2
+    assert run(["oracle", "multicut", "--input", str(inst_file),
+                "--oracle", "sweep"]) == 0
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # Only the ratio bounds need mpmath, and it costs about 4 MiB of RSS.
+    src = Path(kroutecut.__file__).resolve().parents[1]
+    code = "import sys, kroutecut.cli; sys.exit('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_gen_writes_sidecar(tmp_path):

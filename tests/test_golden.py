@@ -42,6 +42,11 @@ CASES = [
      ("vc", "two-route"), BOTH),
     ("random-vc-k3", "random",
      {"n": 7, "m": 30, "r": 2, "k": 3, "flavor": "vc"}, ("vc",), BOTH),
+    ("random-vc-n10", "random",
+     {"n": 10, "m": 25, "r": 4, "k": 2, "flavor": "vc"},
+     ("vc", "two-route"), BOTH),
+    ("random-vc-n12-k3", "random",
+     {"n": 12, "m": 36, "r": 4, "k": 3, "flavor": "vc"}, ("vc",), BOTH),
     ("grid-vc", "grid", {"w": 3, "h": 3, "r": 2, "k": 2, "flavor": "vc"},
      ("vc", "two-route"), BOTH),
     ("planted-vc", "planted", {"k": 2, "cheap_bridges": 2, "flavor": "vc"},

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,10 +11,10 @@ from kroutecut import (INF, DemandSet, Flavor, Graph, OracleConfig,
                        laminar_min_cut_family, min_weight_edge_st_cut,
                        sparsest_cut, vertex_k_route_sparsest_cut)
 from kroutecut.errors import (ExactCapExceeded, FreeSetBlowup, Infeasible,
-                              NoCandidateCut)
+                              KrcError, NoCandidateCut, SeparatorBlowup)
 from kroutecut.exact import brute_force_sparsest
 from kroutecut.graph import wsum
-from kroutecut.oracles import CutKind, _cut_tables
+from kroutecut.oracles import CutKind, _mask_tables
 
 from helpers import cut_weight, random_graph, random_instance, random_pairs
 
@@ -437,17 +438,17 @@ def _k_route_by_free_sets(g, d, k, kind):
 
 def test_cut_tables_match_naive():
     rng = random.Random(151)
-    cases = [(1, [], [], [0]), (2, [], [], [0, 0]),
-             (2, [(0, 1, 3), (1, 0, INF), (0, 1, 0)], [(0, 1)], [1, 1])]
+    cases = [(Graph(1), DemandSet([])), (Graph(2), DemandSet([])),
+             (Graph(2, [(0, 1, 3), (1, 0, INF), (0, 1, 0)]),
+              DemandSet([(0, 1)]))]
     for _ in range(60):
         n = rng.randint(2, 7)
         g = random_graph(rng, n, rng.randint(0, 12), wmin=0, inf_prob=0.2)
-        d = DemandSet(random_pairs(rng, n, rng.randint(1, 4)))
-        cases.append((n, g.edges, d.pairs,
-                      [d.per_vertex.get(v, 0) for v in range(n)]))
-    for n, edges, pairs, d_of in cases:
-        assert _cut_tables(n, edges, d_of, pairs) == \
-            _naive_tables(n, edges, d_of, pairs)
+        cases.append((g, DemandSet(random_pairs(rng, n, rng.randint(1, 4)))))
+    for g, d in cases:
+        n = g.vertex_count
+        d_of = [d.per_vertex.get(v, 0) for v in range(n)]
+        assert _mask_tables(g, d) == _naive_tables(n, g.edges, d_of, d.pairs)
 
 
 def test_k_route_exact_matches_free_set_loop():
@@ -467,3 +468,81 @@ def test_k_route_exact_matches_free_set_loop():
             got = k_route_sparsest_cut(g, d, k, kind, EXACT)
             assert (got.side, got.residual_weight, got.denominator,
                     got.free_edges) == want
+
+
+def _vertex_by_separators(g, d, k, kind, cfg):
+    """Exact vertex k-route sparsest cut the long way: for each separator D,
+    G - D relabelled and its naive tables, one scan with strict improvement
+    only, and strict improvement across separators."""
+    n = g.vertex_count
+    if n > cfg.exact_vertex_cap:
+        raise ExactCapExceeded("cap")
+    if sum(math.comb(n, j) for j in range(k)) > cfg.separator_budget:
+        raise SeparatorBlowup("budget")
+    best = None  # (num, den, side, separator)
+    for size in range(k):
+        for delta in itertools.combinations(range(n), size):
+            rest = [v for v in range(n) if v not in delta]
+            pos = {v: i for i, v in enumerate(rest)}
+            edges = [(pos[u], pos[v], w) for u, v, w in g.edges
+                     if u in pos and v in pos]
+            pairs = [(pos[s], pos[t]) for s, t in d.pairs
+                     if s in pos and t in pos]
+            d_of = [d.per_vertex.get(v, 0) for v in rest]
+            fin, infc, d_in, cross = _naive_tables(len(rest), edges, d_of,
+                                                   pairs)
+            for mask in range(1, (1 << len(rest)) - 1):
+                if kind is CutKind.UNIFORM:
+                    den = min(d_in[mask], sum(d_of) - d_in[mask])
+                else:
+                    den = cross[mask]
+                if den == 0:
+                    continue
+                num = INF if infc[mask] else min(fin[mask], INF)
+                if best is None or num * best[1] < best[0] * den:
+                    side = frozenset(v for i, v in enumerate(rest)
+                                     if (mask >> i) & 1)
+                    best = (num, den, side, frozenset(delta))
+    if best is None:
+        raise NoCandidateCut("none")
+    return best
+
+
+def test_vertex_exact_matches_per_separator_path():
+    rng = random.Random(163)
+    weights = (0, 1, 2, 3, 2**62 - 1, 2**62, INF)
+    for trial in range(1000):
+        n = rng.randint(2, 5)
+        g = Graph(n, [(*rng.sample(range(n), 2), rng.choice(weights))
+                      for _ in range(rng.randint(0, 7))])
+        d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
+        cfg = OracleConfig(exact_vertex_cap=rng.choice((20, 20, 20, 4)),
+                           separator_budget=rng.choice((10**6, 10**6, 7)))
+        k = rng.randint(1, 4)
+        for kind in (CutKind.UNIFORM, CutKind.NONUNIFORM):
+            try:
+                want = _vertex_by_separators(g, d, k, kind, cfg)
+            except KrcError as exc:
+                with pytest.raises(type(exc)):
+                    vertex_k_route_sparsest_cut(g, d, k, kind, cfg)
+                continue
+            got = vertex_k_route_sparsest_cut(g, d, k, kind, cfg)
+            num, den, side, delta = want
+            assert (got.side, got.separator, got.residual_weight,
+                    got.denominator, got.sparsity) == \
+                (side, delta, num, den, Fraction(num, den)), trial
+
+
+def test_vertex_exact_float_tie_resolved_exactly():
+    # Sides {0}, {1} and {2} have sparsities 2^62+1, 2^62-1 and 2^62+1, all
+    # of which round to the float 2^62; the first of them, {0}, is not the
+    # least.
+    a = 2**62 - 1
+    g = Graph(3, [(0, 1, a), (0, 2, 2), (1, 2, a)])
+    d = DemandSet([(0, 1), (1, 2)])
+    assert float(Fraction(2**62 + 1)) == float(Fraction(2**63 - 2, 2))
+    cut = vertex_k_route_sparsest_cut(g, d, 1, CutKind.NONUNIFORM, EXACT)
+    assert (cut.side, cut.residual_weight, cut.denominator) == \
+        (frozenset({1}), 2**63 - 2, 2)
+    assert cut.sparsity == brute_force_sparsest(
+        g, d, 1, Flavor.VERTEX, CutKind.NONUNIFORM).sparsity
