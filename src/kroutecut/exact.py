@@ -17,7 +17,7 @@ from .errors import CapExceeded, Infeasible
 from .graph import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
                     connectivity, wsum)
 from .oracles import CutKind, SparseCut
-from .solvers import SolveResult
+from .solvers import GRID_EPSILON, SolveResult
 
 BRUTE_EDGE_CAP = 22
 BRUTE_VERTEX_CAP = 14
@@ -46,7 +46,7 @@ def log_lower(x: int, digits: int = 50) -> Fraction:
     return Fraction(int(scaled) - 1, 10 ** digits)
 
 
-def brute_force_opt(inst: Instance, cost_cap: Optional[int] = None) -> CutSolution:
+def brute_force_opt(inst: Instance) -> CutSolution:
     """Minimum-weight feasible cut by branch and bound over finite edges."""
     g = inst.graph
     finite = [i for i, e in enumerate(g.edges) if e.w < INF]
@@ -64,15 +64,13 @@ def brute_force_opt(inst: Instance, cost_cap: Optional[int] = None) -> CutSoluti
             raise Infeasible(f"pair ({s},{t}) stays {k}-connected without finite edges")
 
     order = sorted(finite, key=lambda i: (-g.edges[i].w, i))
-    total = sum(g.edges[i].w for i in finite)
-    cap = total if cost_cap is None else min(total, cost_cap)
-
-    best_cost = total if total <= cap else None
-    best_ids = tuple(sorted(finite)) if best_cost is not None else None
+    # Removing every finite edge is feasible by the check above.
+    best_cost = sum(g.edges[i].w for i in finite)
+    best_ids = tuple(sorted(finite))
 
     def dfs(idx: int, removed: list[int], cost: int, violated) -> None:
         nonlocal best_cost, best_ids
-        if best_cost is not None and cost > best_cost:
+        if cost > best_cost:
             return
         excl = frozenset(removed)
         still = [
@@ -81,23 +79,20 @@ def brute_force_opt(inst: Instance, cost_cap: Optional[int] = None) -> CutSoluti
         ]
         if not still:
             key = (cost, tuple(sorted(removed)))
-            if best_cost is None or key < (best_cost, best_ids):
+            if key < (best_cost, best_ids):
                 best_cost, best_ids = key
             return
         if idx == len(order):
             return
         e = order[idx]
         w = g.edges[e].w
-        limit = cap if best_cost is None else min(cap, best_cost)
-        if cost + w <= limit:
+        if cost + w <= best_cost:
             removed.append(e)
             dfs(idx + 1, removed, cost + w, still)
             removed.pop()
         dfs(idx + 1, removed, cost, still)
 
     dfs(0, [], 0, violated0)
-    if best_ids is None:
-        raise Infeasible("no feasible solution within the cost cap")
     return CutSolution(frozenset(best_ids), best_cost, k)
 
 
@@ -171,8 +166,7 @@ def brute_force_sparsest(g: Graph, demands: DemandSet, k: int,
 
 
 def cost_bound(algorithm: str, inst: Instance, delta: Fraction = Fraction(0),
-               c: Fraction = Fraction(1),
-               grid_epsilon: Fraction = Fraction(1, 100)) -> Optional[Fraction]:
+               c: Fraction = Fraction(1)) -> Optional[Fraction]:
     """Guaranteed cost ratio for an algorithm run with exact oracles.
 
     Logarithms enter as rational lower bounds of the true transcendental
@@ -193,7 +187,7 @@ def cost_bound(algorithm: str, inst: Instance, delta: Fraction = Fraction(0),
     if algorithm == "two-route":
         return 16 * ln1r
     if algorithm == "st":
-        return (1 + c) * (1 + grid_epsilon)
+        return (1 + c) * (1 + GRID_EPSILON)
     return None
 
 

@@ -236,27 +236,37 @@ class FlowNet:
                         queue.append(v)
             if level[t] < 0:
                 break
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(head[u]):
-                    i = head[u][it[u]]
-                    v = to[i]
-                    if cap[i] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, cap[i]))
-                        if got > 0:
-                            cap[i] -= got
-                            cap[i ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            it = [0] * self.n  # next arc to try at each vertex
             while flow < target:
-                pushed = dfs(s, target - flow)
-                if pushed == 0:
+                # Advance along level arcs from s; a dead end retreats one
+                # arc and moves its tail past it. Pointers stay on the arcs
+                # of a found path, as they may still have capacity.
+                path = []
+                u = s
+                while u != t:
+                    arcs = head[u]
+                    j = it[u]
+                    want = level[u] + 1
+                    while j < len(arcs):
+                        i = arcs[j]
+                        if cap[i] > 0 and level[to[i]] == want:
+                            break
+                        j += 1
+                    it[u] = j
+                    if j < len(arcs):
+                        path.append(i)
+                        u = to[i]
+                    elif path:
+                        u = to[path.pop() ^ 1]
+                        it[u] += 1
+                    else:
+                        break
+                if u != t:
                     break
+                pushed = min([target - flow] + [cap[i] for i in path])
+                for i in path:
+                    cap[i] -= pushed
+                    cap[i ^ 1] += pushed
                 flow += pushed
         return flow
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import (ExactCapExceeded, FreeSetBlowup, Infeasible,
                      NoCandidateCut, SeparatorBlowup)
-from .graph import (INF, DemandSet, FlowNet, Graph, min_weight_edge_st_cut,
+from .graph import (INF, DemandSet, Graph, _edge_net, min_weight_edge_st_cut,
                     num_edge_disjoint_paths, wsum)
 
 
@@ -70,8 +70,10 @@ class GomoryHuTree:
     """Spanning tree whose edges encode all pairwise minimum cuts.
 
     Capacities carry a deterministic perturbation (weight scaled by 2^m plus
-    2^edge_id) so the minimum cut for every vertex pair is unique; `cap` is
-    the true weight recovered from it.
+    2^edge_id), so distinct crossing edge sets never tie and, on a connected
+    graph, every vertex pair has one minimum cut. On a disconnected graph
+    any split of the components is a zero cut, so a pair in different
+    components has several. `cap` is the true weight recovered from it.
     """
 
     vertex_count: int
@@ -136,87 +138,33 @@ def perturbed_weights(g: Graph) -> list[int]:
     return [(e.w << m) | (1 << i) for i, e in enumerate(g.edges)]
 
 
-def _unperturb(value: int, m: int) -> int:
-    return min(value >> m, INF)
-
-
 def gomory_hu(g: Graph) -> GomoryHuTree:
-    """Contraction-based Gomory-Hu tree (cut property, not just flow values)."""
+    """Gusfield's cut tree: n-1 maximum flows on G itself, no contraction
+    (Gusfield 1990, "Very simple methods for all pairs network flow
+    analysis"). Vertex s takes its minimum cut to its current parent t; the
+    vertices that shared t and fall on s's side move under s, and s swaps
+    places with t if t's own parent falls on s's side too.
+    """
     n = g.vertex_count
     if n < 2:
         raise ValueError("gomory_hu needs at least two vertices")
-    m = g.edge_count
     pert = perturbed_weights(g)
-
-    nodes: list[set[int]] = [set(range(n))]
-    tree: list[list[int]] = []  # [node_i, node_j, perturbed value]
-
-    while True:
-        xi = next((i for i, ns in enumerate(nodes) if len(ns) >= 2), -1)
-        if xi < 0:
-            break
-        members = sorted(nodes[xi])
-        s, t = members[0], members[1]
-
-        # Contract each subtree hanging off node xi into a single vertex.
-        comp = {}  # node index -> component id (for nodes != xi)
-        adj: dict[int, list[int]] = {}
-        for a, b, _ in tree:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        next_comp = 0
-        for start in range(len(nodes)):
-            if start == xi or start in comp:
-                continue
-            cid = next_comp
-            next_comp += 1
-            stack = [start]
-            comp[start] = cid
-            while stack:
-                a = stack.pop()
-                for b in adj.get(a, []):
-                    if b != xi and b not in comp:
-                        comp[b] = cid
-                        stack.append(b)
-
-        cid_of_vertex: dict[int, int] = {}
-        for ni, ns in enumerate(nodes):
-            if ni == xi:
-                continue
-            for v in ns:
-                cid_of_vertex[v] = comp[ni]
-
-        local = {v: j for j, v in enumerate(members)}
-        base = len(members)
-        total = base + next_comp
-        net = FlowNet(total)
-        for i, e in enumerate(g.edges):
-            a = local[e.u] if e.u in local else base + cid_of_vertex[e.u]
-            b = local[e.v] if e.v in local else base + cid_of_vertex[e.v]
-            if a != b:
-                net.add_arc(a, b, pert[i], pert[i])
-
-        value = net.max_flow(local[s], local[t])
-        reach = net.residual_reachable(local[s])
-        side_a = {v for v in members if local[v] in reach}
-        side_b = set(members) - side_a
-
-        bi = len(nodes)
-        nodes[xi] = side_a
-        nodes.append(side_b)
-        for edge in tree:
-            for pos in (0, 1):
-                if edge[pos] == xi:
-                    cnode = edge[1 - pos]
-                    if base + comp[cnode] not in reach:
-                        edge[pos] = bi
-        tree.append([xi, bi, value])
-
-    vertex_of = {i: next(iter(ns)) for i, ns in enumerate(nodes)}
-    edges = tuple(
-        (vertex_of[a], vertex_of[b], _unperturb(val, m), val) for a, b, val in tree
-    )
-    return GomoryHuTree(n, edges)
+    parent = [0] * n
+    value = [0] * n
+    for s in range(1, n):
+        t = parent[s]
+        net, _ = _edge_net(g, pert)
+        value[s] = net.max_flow(s, t)
+        side = net.residual_reachable(s)
+        for v in side:
+            if v != s and parent[v] == t:
+                parent[v] = s
+        if parent[t] in side:
+            parent[s], parent[t] = parent[t], s
+            value[s], value[t] = value[t], value[s]
+    m = g.edge_count
+    return GomoryHuTree(n, tuple((v, parent[v], min(value[v] >> m, INF),
+                                  value[v]) for v in range(1, n)))
 
 
 def laminar_min_cut_family(g: Graph, demands: DemandSet) -> LaminarMinCutFamily:
@@ -287,16 +235,19 @@ def _demand_counts(g: Graph, demands: DemandSet) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _mask_tables(g: Graph, demands: DemandSet):
-    """Finite cut weight, INF cut edges, terminals inside and pairs split,
-    per vertex subset of a graph, for the exact oracles; one set is kept."""
+    """(big, cut, d_in, cross) per vertex subset, for the exact oracles;
+    one set is kept. `cut` weighs each INF edge as big, the finite total
+    plus one, so a side crosses an INF edge iff its cut reaches big. `d_in`
+    counts the terminals inside and `cross` the demand pairs split."""
     n = g.vertex_count
-    fin = _cut_table(n, [(u, v, w) for u, v, w in g.edges if w < INF])
-    infc = _cut_table(n, [(u, v, 1) for u, v, w in g.edges if w >= INF])
+    big = g.total_finite_weight() + 1
+    cut = _cut_table(n, [(u, v, big if w >= INF else w)
+                         for u, v, w in g.edges])
     d_in = [0]
     for d in _demand_counts(g, demands):
         d_in += [x + d for x in d_in]
     cross = _cut_table(n, [(s, t, 1) for s, t in demands.pairs])
-    return fin, infc, d_in, cross
+    return big, cut, d_in, cross
 
 
 def _heaviest_first(g: Graph, edge_ids) -> list[int]:
@@ -304,54 +255,72 @@ def _heaviest_first(g: Graph, edge_ids) -> list[int]:
     return sorted(edge_ids, key=lambda i: (-g.edges[i].w, i))
 
 
-def _scan_masks(tables, n: int, d_total: int, kind: CutKind,
-                ranked=(), waive: int = 0, tie_key=None):
-    """Least-sparsity proper side as (numerator, denominator, mask), or None
-    if no side has a positive denominator.
+def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
+                waive: int = 0, tie_key=None):
+    """Least-sparsity proper side of G - D as (numerator, denominator,
+    mask), or None if no side has a positive denominator.
 
-    Each side waives the first `waive` edges of `ranked`, (u, v, w) tuples,
-    that cross it; with `ranked` heaviest first those are its `waive`
-    heaviest cut edges. Plain tuples unpack faster than Edge in this loop.
-    A tie in sparsity goes to the smaller `tie_key(mask, numerator)` if one
-    is given, else to the first mask; the winner keeps its own numerator and
-    denominator, since 0/2 ties 0/1.
+    `tables` are G's `_mask_tables`, D is the vertex mask `dm` and `rest`
+    the other vertices ascending; bit i of a mask is vertex rest[i]. Each
+    table c gives G - D's as (c(S) + c(S | D) - c(D)) / 2, read in place
+    when D is empty. With D empty, each side of positive denominator waives
+    the first `waive` edges of `ranked`, (u, v, w) tuples, that cross it: big
+    off its cut for an INF edge, w for a finite one. With `ranked` heaviest
+    first those are its `waive` heaviest cut edges. A side's numerator is
+    its cut if that is below both big and INF, else INF.
+
+    A float quotient shortlists the sides and exact products decide: int/int
+    division rounds correctly, and rounding is monotone, so the exact
+    minimum has the least float. A tie in sparsity goes to the smaller
+    `tie_key(mask, numerator)` if one is given, else to the first mask; the
+    winner keeps its own numerator and denominator, since 0/2 ties 0/1.
     """
-    fin, infc, d_in, cross = tables
+    big, cut, d_in, cross = tables
+    lim = min(big, INF)
+    dens = cross if kind is CutKind.NONUNIFORM else d_in
+    if dm:
+        subs = [0]
+        for v in rest:
+            subs += [s | 1 << v for s in subs]
+        cut, dens = ([(c[s] + c[s | dm] - c[dm]) >> 1 for s in subs]
+                     for c in (cut, dens))
     if kind is CutKind.UNIFORM:
-        dens = [min(d, d_total - d) for d in d_in]
+        d_total = dens[-1]
+        dens = [min(d, d_total - d) for d in dens]
+    if not waive:
+        nums = [c if c < lim else INF for c in cut]
     else:
-        dens = cross
-    best = best_key = None
-    best_num, best_den = 1, 0  # worse than any num/den with den > 0
-    for mask in range(1, (1 << n) - 1):
-        den = dens[mask]
-        if den == 0:
-            continue
-        f = fin[mask]
-        ic = infc[mask]
-        left = waive
-        if left:
+        nums = [INF] * len(dens)  # read only where the denominator is positive
+        for mask in itertools.compress(range(len(dens)), dens):
+            c, left = cut[mask], waive
             for u, v, w in ranked:
                 if w == 0:
                     break
                 if ((mask >> u) ^ (mask >> v)) & 1:
-                    if w >= INF:
-                        ic -= 1
-                    else:
-                        f -= w
+                    c -= big if w >= INF else w
                     left -= 1
                     if not left:
                         break
-        num = INF if ic > 0 else min(f, INF)
-        lhs = num * best_den
-        rhs = best_num * den
-        if lhs > rhs or (lhs == rhs and tie_key is None):
-            continue
-        key = None if tie_key is None else tie_key(mask, num)
-        if lhs < rhs or key < best_key:
-            best, best_key = (num, den, mask), key
-            best_num, best_den = num, den
-    return best
+            nums[mask] = c if c < lim else INF
+    quots = [f / d if d else math.inf for f, d in zip(nums, dens)]
+    low = min(quots)
+    if low == math.inf:
+        return None
+    ties = itertools.compress(range(len(quots)), map(low.__eq__, quots))
+    best = next(ties)
+    best_key = None
+    for i in ties:
+        lhs = nums[i] * dens[best]
+        rhs = nums[best] * dens[i]
+        if lhs < rhs:
+            best, best_key = i, None
+        elif lhs == rhs and tie_key is not None:
+            if best_key is None:
+                best_key = tie_key(best, nums[best])
+            key = tie_key(i, nums[i])
+            if key < best_key:
+                best, best_key = i, key
+    return nums[best], dens[best], best
 
 
 def _sweep_orderings(g: Graph, cfg: OracleConfig,
@@ -396,12 +365,15 @@ def _sweep_prefix_best(g: Graph, d_of: list[int], d_total: int, pairs,
                        kind: CutKind, cfg: OracleConfig,
                        exclude: frozenset[int]):
     """Best (numerator, denominator, mask) over the prefixes of the
-    neighbor-averaging orderings, excluded edges deleted; exact arithmetic."""
+    neighbor-averaging orderings, excluded edges deleted; exact arithmetic.
+    The cut weighs INF edges as big, as `_mask_tables` does."""
     n = g.vertex_count
+    big = g.total_finite_weight() + 1
+    lim = min(big, INF)
     best = None
     for order in _sweep_orderings(g, cfg, exclude):
         in_side = [False] * n
-        mask = fin = ic = d_in = crossing = 0
+        mask = cut = d_in = crossing = 0
         for pos in range(n - 1):
             v = order[pos]
             in_side[v] = True
@@ -412,11 +384,8 @@ def _sweep_prefix_best(g: Graph, d_of: list[int], d_total: int, pairs,
                     continue
                 e = g.edges[ei]
                 other = e.v if e.u == v else e.u
-                sign = -1 if in_side[other] else 1
-                if e.w >= INF:
-                    ic += sign
-                else:
-                    fin += sign * e.w
+                w = big if e.w >= INF else e.w
+                cut += -w if in_side[other] else w
             for s, t in pairs:
                 if s == v or t == v:
                     other = t if s == v else s
@@ -427,7 +396,7 @@ def _sweep_prefix_best(g: Graph, d_of: list[int], d_total: int, pairs,
                 den = crossing
             if den == 0:
                 continue
-            num = INF if ic > 0 else min(fin, INF)
+            num = cut if cut < lim else INF
             if best is None or num * best[1] < best[0] * den:
                 best = (num, den, mask)
     return best
@@ -455,8 +424,8 @@ def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
         # as deleting them and keeps the cached tables valid.
         ranked = [tuple(g.edges[e])
                   for e in _heaviest_first(g, exclude_edges)]
-        best = _scan_masks(_mask_tables(g, demands), g.vertex_count,
-                           2 * demands.r, kind, ranked, len(ranked))
+        best = _scan_masks(_mask_tables(g, demands), range(g.vertex_count),
+                           0, kind, ranked, len(ranked))
     else:
         best = _sweep_prefix_best(g, _demand_counts(g, demands),
                                   2 * demands.r, demands.pairs, kind, cfg,
@@ -522,7 +491,7 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
         _check_exact_cap(g.vertex_count, cfg)
         order = _heaviest_first(g, range(g.edge_count))
         best = _scan_masks(
-            _mask_tables(g, demands), g.vertex_count, 2 * demands.r, kind,
+            _mask_tables(g, demands), range(g.vertex_count), 0, kind,
             [tuple(g.edges[i]) for i in order], fsize,
             lambda mask, num: _first_free_set(g, order, fsize, mask, num))
         if best is None:
@@ -750,32 +719,6 @@ def _separator_candidates(n: int, max_size: int, budget: int):
         yield from itertools.combinations(range(n), size)
 
 
-def _scan_separated(fin, infc, d_in, cross, rest, dm: int, kind: CutKind):
-    """`_scan_masks` of G - D, D the vertex mask `dm` and `rest` the others
-    ascending, from G's tables: each table c gives G - D's as
-    (c(S) + c(S | D) - c(D)) / 2. Floats shortlist, exact products decide."""
-    subs = [0]
-    for v in rest:
-        subs += [s | 1 << v for s in subs]
-
-    def minus_d(table):  # each side's count in G - D
-        return [(table[s] + table[s | dm] - table[dm]) >> 1 for s in subs]
-    nums = [INF if i or f >= INF else f
-            for f, i in zip(minus_d(fin), minus_d(infc))]
-    d_total = d_in[subs[-1]]
-    dens = (minus_d(cross) if kind is CutKind.NONUNIFORM else
-            [min(d, d_total - d) for d in map(d_in.__getitem__, subs)])
-    quots = [f / d if d else math.inf for f, d in zip(nums, dens)]
-    low = min(quots)
-    if low == math.inf:
-        return None
-    best = quots.index(low)
-    for i in itertools.compress(range(len(quots)), map(low.__eq__, quots)):
-        if nums[i] * dens[best] < nums[best] * dens[i]:
-            best = i
-    return nums[best], dens[best], best
-
-
 def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
                                 kind: CutKind, cfg: OracleConfig) -> SparseCut:
     """Minimizer over (side S, separator D) with |D| <= k-1 of the sparsity
@@ -798,8 +741,8 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
         if len(rest) < 2:
             continue
         if cfg.mode == "exact":
-            found = _scan_separated(*_mask_tables(g, demands), rest,
-                                    sum(1 << v for v in delta), kind)
+            found = _scan_masks(_mask_tables(g, demands), rest,
+                                sum(1 << v for v in delta), kind)
         else:
             pos = {v: i for i, v in enumerate(rest)}
             sub = Graph(len(rest), [(pos[e.u], pos[e.v], e.w) for e in g.edges

@@ -23,21 +23,21 @@ from .oracles import (CutKind, OracleConfig, k_route_sparsest_cut,
                       k_route_sparsest_cut_bicriteria, sparsest_cut,
                       vertex_k_route_sparsest_cut)
 
+# Grid step of `st`'s guesses of OPT, and so the (1 + eps) in its bound.
+GRID_EPSILON = Fraction(1, 100)
+
 
 @dataclass(frozen=True)
 class SolverParams:
     oracle: OracleConfig = OracleConfig()
     delta: Fraction = Fraction(0)            # connectivity slack, [0, 1)
     c: Fraction = Fraction(1)                # single-pair cost tradeoff, > 0
-    opt_grid_epsilon: Fraction = Fraction(1, 100)
 
     def __post_init__(self):
         if not (0 <= self.delta < 1):
             raise ValueError("delta must lie in [0, 1)")
         if self.c <= 0:
             raise ValueError("c must be positive")
-        if self.opt_grid_epsilon <= 0:
-            raise ValueError("opt_grid_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def solve_two_route(inst: Instance, params: SolverParams) -> SolveResult:
 # Single source-sink pair.
 
 
-def _guess_grid(total: int, weights, epsilon: Fraction) -> list[int]:
+def _guess_grid(total: int, weights) -> list[int]:
     grid = set(w for w in weights if 0 < w <= total)
     grid.add(total)
     value = Fraction(1)
@@ -275,7 +275,7 @@ def _guess_grid(total: int, weights, epsilon: Fraction) -> list[int]:
         if point >= total:
             break
         grid.add(point)
-        value *= 1 + epsilon
+        value *= 1 + GRID_EPSILON
     return sorted(grid)
 
 
@@ -326,8 +326,7 @@ def solve_st(inst: Instance, params: SolverParams) -> SolveResult:
     witness_cap = (k - 1) * (1 + 1 / c)
 
     best = None  # (weight, sorted edge ids, witness size, guess)
-    for guess in _guess_grid(total, (e.w for e in g.edges if e.w < INF),
-                             params.opt_grid_epsilon):
+    for guess in _guess_grid(total, (e.w for e in g.edges if e.w < INF)):
         weights = {n + i: (e.w * scale if e.w < INF else INF)
                    for i, e in enumerate(g.edges)}
         for v in range(n):

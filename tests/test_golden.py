@@ -53,6 +53,13 @@ CASES = [
      ("vc", "two-route", "st"), ("exact",)),
     ("random-st", "random", {"n": 7, "m": 14, "r": 1, "k": 3, "flavor": "vc"},
      ("st",), ("exact",)),
+    # Weights near INF: the finite total passes INF, with and without INF
+    # edges in the graph.
+    ("planted-ec-huge", "planted",
+     {"k": 2, "cheap_bridges": 5, "wmax": 2**62}, ("ec",), BOTH),
+    ("random-vc-huge", "random",
+     {"n": 7, "m": 16, "r": 2, "k": 2, "wmin": 2**61, "wmax": 2**62,
+      "flavor": "vc"}, ("vc", "two-route"), BOTH),
 ]
 
 

@@ -72,6 +72,15 @@ def test_min_weight_edge_cut_examples():
     assert value == 3
 
 
+def test_flows_on_a_long_path():
+    # Every augmenting path is the whole path, 10^4 arcs deep.
+    n = 10_000
+    g = Graph(n, [(i, i + 1, 1 if i == n // 2 else 2) for i in range(n - 1)])
+    assert num_edge_disjoint_paths(g, 0, n - 1) == 1
+    value, side = min_weight_edge_st_cut(g, 0, n - 1)
+    assert (value, side) == (1, frozenset(range(n // 2 + 1)))
+
+
 def test_min_weight_vertex_cut_examples():
     path = Graph(3, [(0, 1, 1), (1, 2, 1)])
     sep, value = min_weight_vertex_st_cut(path, {1: 5}, 0, 2)

@@ -440,7 +440,9 @@ def test_cut_tables_match_naive():
     rng = random.Random(151)
     cases = [(Graph(1), DemandSet([])), (Graph(2), DemandSet([])),
              (Graph(2, [(0, 1, 3), (1, 0, INF), (0, 1, 0)]),
-              DemandSet([(0, 1)]))]
+              DemandSet([(0, 1)])),
+             (Graph(3, [(0, 1, 2**62), (1, 2, 2**62), (0, 2, INF)]),
+              DemandSet([(0, 2)]))]
     for _ in range(60):
         n = rng.randint(2, 7)
         g = random_graph(rng, n, rng.randint(0, 12), wmin=0, inf_prob=0.2)
@@ -448,15 +450,19 @@ def test_cut_tables_match_naive():
     for g, d in cases:
         n = g.vertex_count
         d_of = [d.per_vertex.get(v, 0) for v in range(n)]
-        assert _mask_tables(g, d) == _naive_tables(n, g.edges, d_of, d.pairs)
+        fin, infc, d_in, cross = _naive_tables(n, g.edges, d_of, d.pairs)
+        big = g.total_finite_weight() + 1
+        assert _mask_tables(g, d) == \
+            (big, [f + big * i for f, i in zip(fin, infc)], d_in, cross)
 
 
 def test_k_route_exact_matches_free_set_loop():
     rng = random.Random(157)
+    weights = (0, 1, 2, 3, 4, 2**62 - 1, 2**62, INF)
     for _ in range(1000):
         n = rng.randint(2, 5)
-        g = random_graph(rng, n, rng.randint(0, 6), wmin=0, wmax=4,
-                         inf_prob=0.15)
+        g = Graph(n, [(*rng.sample(range(n), 2), rng.choice(weights))
+                      for _ in range(rng.randint(0, 6))])
         d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
         k = rng.randint(1, 5)
         for kind in (CutKind.UNIFORM, CutKind.NONUNIFORM):
@@ -468,6 +474,26 @@ def test_k_route_exact_matches_free_set_loop():
             got = k_route_sparsest_cut(g, d, k, kind, EXACT)
             assert (got.side, got.residual_weight, got.denominator,
                     got.free_edges) == want
+
+
+def test_exact_excluded_edges_match_deleted_edges():
+    # Excluded edges are waived from every side; the reference deletes them
+    # and scans G - F's naive tables with first-mask strict improvement.
+    rng = random.Random(167)
+    weights = (0, 1, 2, 3, 2**62 - 1, 2**62, INF)
+    for _ in range(1000):
+        n = rng.randint(2, 6)
+        g = Graph(n, [(*rng.sample(range(n), 2), rng.choice(weights))
+                      for _ in range(rng.randint(0, 8))])
+        d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
+        excl = frozenset(i for i in range(g.edge_count) if rng.random() < 0.3)
+        for kind in (CutKind.UNIFORM, CutKind.NONUNIFORM):
+            side, num, den, _ = _k_route_by_free_sets(
+                g.without_edges(excl)[0], d, 1, kind)
+            got = sparsest_cut(g, d, kind, EXACT, exclude_edges=excl)
+            assert (got.side, got.residual_weight, got.denominator,
+                    got.free_edges) == \
+                (side, num, den, excl & set(g.cut_edges(side)))
 
 
 def _vertex_by_separators(g, d, k, kind, cfg):
@@ -536,13 +562,26 @@ def test_vertex_exact_matches_per_separator_path():
 def test_vertex_exact_float_tie_resolved_exactly():
     # Sides {0}, {1} and {2} have sparsities 2^62+1, 2^62-1 and 2^62+1, all
     # of which round to the float 2^62; the first of them, {0}, is not the
-    # least.
+    # least. The edge oracles scan the same sides, with no separator.
     a = 2**62 - 1
     g = Graph(3, [(0, 1, a), (0, 2, 2), (1, 2, a)])
     d = DemandSet([(0, 1), (1, 2)])
     assert float(Fraction(2**62 + 1)) == float(Fraction(2**63 - 2, 2))
-    cut = vertex_k_route_sparsest_cut(g, d, 1, CutKind.NONUNIFORM, EXACT)
-    assert (cut.side, cut.residual_weight, cut.denominator) == \
-        (frozenset({1}), 2**63 - 2, 2)
+    kind = CutKind.NONUNIFORM
+    for cut in (vertex_k_route_sparsest_cut(g, d, 1, kind, EXACT),
+                sparsest_cut(g, d, kind, EXACT),
+                k_route_sparsest_cut(g, d, 1, kind, EXACT)):
+        assert (cut.side, cut.residual_weight, cut.denominator) == \
+            (frozenset({1}), 2**63 - 2, 2)
     assert cut.sparsity == brute_force_sparsest(
         g, d, 1, Flavor.VERTEX, CutKind.NONUNIFORM).sparsity
+
+
+def test_saturated_cut_reads_inf_in_both_modes():
+    # Two parallel 2^62 edges weigh 2^63 > INF together, so their cut
+    # saturates to INF, as a cut across an INF edge does.
+    d = DemandSet([(0, 1)])
+    for edges in ([(0, 1, 2**62), (0, 1, 2**62)], [(0, 1, 1), (1, 0, INF)]):
+        for cfg in (EXACT, OracleConfig(mode="sweep")):
+            cut = sparsest_cut(Graph(2, edges), d, CutKind.NONUNIFORM, cfg)
+            assert (cut.side, cut.residual_weight) == (frozenset({0}), INF)

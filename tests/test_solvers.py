@@ -14,6 +14,7 @@ from kroutecut import (DemandSet, Flavor, Graph, Instance, OracleConfig,
                        solve_uniform_ec, solve_vc)
 from kroutecut.errors import Infeasible, NoFeasibleGuess, NonUniformWeights
 from kroutecut.exact import brute_force_opt
+from kroutecut.solvers import GRID_EPSILON
 
 from helpers import make_instance, random_instance
 
@@ -204,12 +205,11 @@ def test_st_exact_k_route_with_c_equals_k():
         k = rng.randint(2, 3)
         inst = random_instance(rng, rng.randint(3, 6), rng.randint(2, 8), 1,
                                k, Flavor.VERTEX, no_adjacent=True)
-        params = SolverParams(c=Fraction(k))
-        res = solve_st(inst, params)
+        res = solve_st(inst, SolverParams(c=Fraction(k)))
         assert is_feasible(inst, res.solution, k)
         opt = brute_force_opt(inst).total_weight
         assert res.solution.total_weight <= \
-            (k + 1) * (1 + params.opt_grid_epsilon) * opt
+            (k + 1) * (1 + GRID_EPSILON) * opt
 
 
 def test_st_requires_single_pair():
