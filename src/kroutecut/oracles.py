@@ -277,18 +277,21 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
     """
     big, cut, d_in, cross = tables
     lim = min(big, INF)
+    d_total = d_in[-1] - d_in[dm]
     dens = cross if kind is CutKind.NONUNIFORM else d_in
     if dm:
         subs = [0]
-        for v in rest:
+        for v in rest[:-1]:
             subs += [s | 1 << v for s in subs]
         cut, dens = ([(c[s] + c[s | dm] - c[dm]) >> 1 for s in subs]
                      for c in (cut, dens))
+    else:
+        half = len(cut) >> 1
+        cut, dens = cut[:half], dens[:half]
     if kind is CutKind.UNIFORM:
-        d_total = dens[-1]
-        dens = [min(d, d_total - d) for d in dens]
+        dens = [d if d + d <= d_total else d_total - d for d in dens]
     if not waive:
-        nums = [c if c < lim else INF for c in cut]
+        nums = cut if max(cut) < lim else [c if c < lim else INF for c in cut]
     else:
         nums = [INF] * len(dens)  # read only where the denominator is positive
         for mask in itertools.compress(range(len(dens)), dens):
