@@ -290,10 +290,7 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
         cut, dens = cut[:half], dens[:half]
     if kind is CutKind.UNIFORM:
         dens = [d if d + d <= d_total else d_total - d for d in dens]
-    if not waive:
-        nums = cut if max(cut) < lim else [c if c < lim else INF for c in cut]
-    else:
-        nums = [INF] * len(dens)  # read only where the denominator is positive
+    if waive:  # `cut` is this scan's own copy, never the cached table
         for mask in itertools.compress(range(len(dens)), dens):
             c, left = cut[mask], waive
             for u, v, w in ranked:
@@ -304,9 +301,11 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
                     left -= 1
                     if not left:
                         break
-            nums[mask] = c if c < lim else INF
+            cut[mask] = c
+    nums = (cut if max(cut, default=0) < lim
+            else [c if c < lim else INF for c in cut])
     quots = [f / d if d else math.inf for f, d in zip(nums, dens)]
-    low = min(quots)
+    low = min(quots, default=math.inf)
     if low == math.inf:
         return None
     ties = itertools.compress(range(len(quots)), map(low.__eq__, quots))
@@ -315,6 +314,8 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
     for i in ties:
         lhs = nums[i] * dens[best]
         rhs = nums[best] * dens[i]
+        if lhs == rhs:  # a side that crosses no INF edge wins
+            lhs, rhs = cut[i] >= big, cut[best] >= big
         if lhs < rhs:
             best, best_key = i, None
         elif lhs == rhs and tie_key is not None:
@@ -445,23 +446,25 @@ def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
 def _first_free_set(g: Graph, order: list[int], size: int, mask: int,
                     num: int) -> tuple[int, ...]:
     """First free set of `size` edges, in `itertools.combinations` order,
-    that leaves side `mask` its least residual weight `num`.
+    that leaves side `mask` its least residual weight `num`, across no INF
+    edge if one can.
 
-    An INF residual is left by every free set, so the first one wins.
-    Otherwise a free set is optimal iff it holds the `size` largest savings,
-    where an edge saves its weight if it crosses the side and nothing if
-    not. The first such set takes the crossing edges of positive weight in
-    `order` (ids heaviest first) up to `size`, then the smallest other ids.
+    A free set is optimal iff it holds the `size` largest savings, where an
+    edge saves its weight if it crosses the side and nothing if not. The
+    first such set takes the crossing edges of positive weight in `order`
+    (ids heaviest first) up to `size`, then the smallest other ids. An INF
+    residual is left by every free set: the first set that waives every INF
+    edge the side crosses wins, or the first of all if none can.
     """
-    if num >= INF:
-        return tuple(range(size))
-    free = []
-    for i in order:
-        u, v, w = g.edges[i]
-        if len(free) == size or w == 0:
-            break
-        if ((mask >> u) ^ (mask >> v)) & 1:
-            free.append(i)
+    crossing = (i for i in order if g.edges[i].w and (
+        (mask >> g.edges[i].u) ^ (mask >> g.edges[i].v)) & 1)
+    if num < INF:
+        free = list(itertools.islice(crossing, size))
+    else:
+        free = list(itertools.takewhile(lambda i: g.edges[i].w >= INF,
+                                        crossing))
+        if len(free) > size:
+            return tuple(range(size))
     taken = set(free)
     rest = (i for i in range(g.edge_count) if i not in taken)
     free += itertools.islice(rest, size - len(free))

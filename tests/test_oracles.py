@@ -405,11 +405,13 @@ def _naive_tables(n, edges, d_of, pairs):
 
 def _k_route_by_free_sets(g, d, k, kind):
     """Exact k-route sparsest cut the long way: one scan over every side per
-    free set of size k-1, in combinations order, strict improvement only."""
+    free set of size k-1, in combinations order, strict improvement only.
+    Among equal sparsities a residual across no INF edge improves on one
+    across an INF edge."""
     n = g.vertex_count
     fin, infc, d_in, cross = _naive_tables(
         n, g.edges, [d.per_vertex.get(v, 0) for v in range(n)], d.pairs)
-    best = None  # (num, den, mask, free)
+    best = None  # (num, den, mask, free, INF edges left)
     for free in itertools.combinations(range(g.edge_count),
                                        min(k - 1, g.edge_count)):
         for mask in range(1, (1 << n) - 1):
@@ -427,11 +429,12 @@ def _k_route_by_free_sets(g, d, k, kind):
                     else:
                         f -= w
             num = INF if ic > 0 else min(f, INF)
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den, mask, free)
+            if best is None or ((num * best[1], ic > 0)
+                                < (best[0] * den, best[4] > 0)):
+                best = (num, den, mask, free, ic)
     if best is None:
         return None
-    num, den, mask, free = best
+    num, den, mask, free, _ = best
     side = frozenset(v for v in range(n) if (mask >> v) & 1)
     return side, num, den, frozenset(free) & set(g.cut_edges(side))
 
@@ -499,7 +502,9 @@ def test_exact_excluded_edges_match_deleted_edges():
 def _vertex_by_separators(g, d, k, kind, cfg):
     """Exact vertex k-route sparsest cut the long way: for each separator D,
     G - D relabelled and its naive tables, one scan with strict improvement
-    only, and strict improvement across separators."""
+    only, and strict improvement across separators. Within one separator,
+    among equal sparsities a side across no INF edge improves on one across
+    an INF edge."""
     n = g.vertex_count
     if n > cfg.exact_vertex_cap:
         raise ExactCapExceeded("cap")
@@ -517,6 +522,7 @@ def _vertex_by_separators(g, d, k, kind, cfg):
             d_of = [d.per_vertex.get(v, 0) for v in rest]
             fin, infc, d_in, cross = _naive_tables(len(rest), edges, d_of,
                                                    pairs)
+            here = None  # (num, den, mask)
             for mask in range(1, (1 << len(rest)) - 1):
                 if kind is CutKind.UNIFORM:
                     den = min(d_in[mask], sum(d_of) - d_in[mask])
@@ -525,10 +531,16 @@ def _vertex_by_separators(g, d, k, kind, cfg):
                 if den == 0:
                     continue
                 num = INF if infc[mask] else min(fin[mask], INF)
-                if best is None or num * best[1] < best[0] * den:
-                    side = frozenset(v for i, v in enumerate(rest)
-                                     if (mask >> i) & 1)
-                    best = (num, den, side, frozenset(delta))
+                if here is None or ((num * here[1], infc[mask] > 0)
+                                    < (here[0] * den, infc[here[2]] > 0)):
+                    here = (num, den, mask)
+            if here is None:
+                continue
+            num, den, mask = here
+            if best is None or num * best[1] < best[0] * den:
+                side = frozenset(v for i, v in enumerate(rest)
+                                 if (mask >> i) & 1)
+                best = (num, den, side, frozenset(delta))
     if best is None:
         raise NoCandidateCut("none")
     return best
