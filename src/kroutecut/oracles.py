@@ -262,18 +262,27 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
 
     `tables` are G's `_mask_tables`, D is the vertex mask `dm` and `rest`
     the other vertices ascending; bit i of a mask is vertex rest[i]. Each
-    table c gives G - D's as (c(S) + c(S | D) - c(D)) / 2, read in place
-    when D is empty. With D empty, each side of positive denominator waives
-    the first `waive` edges of `ranked`, (u, v, w) tuples, that cross it: big
-    off its cut for an INF edge, w for a finite one. With `ranked` heaviest
-    first those are its `waive` heaviest cut edges. A side's numerator is
-    its cut if that is below both big and INF, else INF.
+    table c gives G - D's as (c(S) + c(S | D) - c(D)) / 2, read from a
+    slice when D is empty. A side and its complement in G - D have the same
+    cut, denominator, waived edges and tie key, and the first mask of the
+    pair lacks rest[-1], so only the sides without rest[-1] are scanned:
+    the lower half of G's tables when D is empty, else the subsets of
+    rest[:-1]. The uniform denominator min(d, d_total - d) needs G - D's
+    whole terminal count, d_in(V) - d_in(D), read before that halving.
+
+    With D empty, each side of positive denominator waives the first
+    `waive` edges of `ranked`, (u, v, w) tuples, that cross it: big off its
+    cut for an INF edge, w for a finite one. With `ranked` heaviest first
+    those are its `waive` heaviest cut edges. A side's numerator is its cut
+    if that is below both big and INF, else INF.
 
     A float quotient shortlists the sides and exact products decide: int/int
     division rounds correctly, and rounding is monotone, so the exact
-    minimum has the least float. A tie in sparsity goes to the smaller
-    `tie_key(mask, numerator)` if one is given, else to the first mask; the
-    winner keeps its own numerator and denominator, since 0/2 ties 0/1.
+    minimum has the least float. A tie in sparsity goes to a side whose cut
+    is below big, one that crosses no INF edge, over one that is not; then
+    to the smaller `tie_key(mask, numerator)` if one is given, else to the
+    first mask. The winner keeps its own numerator and denominator, since
+    0/2 ties 0/1.
     """
     big, cut, d_in, cross = tables
     lim = min(big, INF)
@@ -456,15 +465,18 @@ def _first_free_set(g: Graph, order: list[int], size: int, mask: int,
     residual is left by every free set: the first set that waives every INF
     edge the side crosses wins, or the first of all if none can.
     """
-    crossing = (i for i in order if g.edges[i].w and (
-        (mask >> g.edges[i].u) ^ (mask >> g.edges[i].v)) & 1)
-    if num < INF:
-        free = list(itertools.islice(crossing, size))
-    else:
-        free = list(itertools.takewhile(lambda i: g.edges[i].w >= INF,
-                                        crossing))
-        if len(free) > size:
-            return tuple(range(size))
+    # A saturated side counts only its INF cut edges, and size + 1 of them
+    # show that no free set waives them all.
+    saturated = num >= INF
+    free = []
+    for i in order:
+        u, v, w = g.edges[i]
+        if len(free) == size + saturated or w == 0 or saturated and w < INF:
+            break
+        if ((mask >> u) ^ (mask >> v)) & 1:
+            free.append(i)
+    if len(free) > size:
+        return tuple(range(size))
     taken = set(free)
     rest = (i for i in range(g.edge_count) if i not in taken)
     free += itertools.islice(rest, size - len(free))
@@ -476,10 +488,12 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     """Minimizer of residual sparsity with k-1 edges waived.
 
     For a fixed side the best k-1 edges to waive are its k-1 heaviest cut
-    edges, so exact mode makes one pass over the sides with those waived:
-    the true k-route sparsest cut. Among optimal (free set, side) pairs it
-    returns the first free set in `itertools.combinations` order, then the
-    first side. Sweep mode runs the plain sweep once per free set of size
+    edges, so exact mode makes one pass with those waived over the sides
+    that leave out vertex n-1, one of each complement pair: the true
+    k-route sparsest cut. Among optimal (free set, side) pairs it prefers
+    one whose residual crosses no INF edge, then returns the first free set
+    in `itertools.combinations` order, then the first side, which lacks
+    vertex n-1. Sweep mode runs the plain sweep once per free set of size
     k-1 with that set deleted. The free-set budget is checked in both modes,
     so that both refuse the same inputs; exact mode does not enumerate
     free sets, and the check can go once sweep mode stops doing so too.
@@ -732,7 +746,8 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
 
     Pairs with an endpoint inside the separator never count toward the
     split-pair denominator; terminal-count denominators keep full counts.
-    Exact mode reads each G - D from G's tables. Ties: first D, then first S.
+    Exact mode reads each G - D from G's tables. Ties: first D; within
+    one D, a side across no INF edge, then the first S.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -14,7 +14,7 @@ from kroutecut.errors import (ExactCapExceeded, FreeSetBlowup, Infeasible,
                               KrcError, NoCandidateCut, SeparatorBlowup)
 from kroutecut.exact import brute_force_sparsest
 from kroutecut.graph import wsum
-from kroutecut.oracles import CutKind, _mask_tables
+from kroutecut.oracles import CutKind, _mask_tables, _scan_masks
 
 from helpers import cut_weight, random_graph, random_instance, random_pairs
 
@@ -550,7 +550,7 @@ def test_vertex_exact_matches_per_separator_path():
     rng = random.Random(163)
     weights = (0, 1, 2, 3, 2**62 - 1, 2**62, INF)
     for trial in range(1000):
-        n = rng.randint(2, 5)
+        n = rng.randint(2, 7)
         g = Graph(n, [(*rng.sample(range(n), 2), rng.choice(weights))
                       for _ in range(rng.randint(0, 7))])
         d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
@@ -597,3 +597,87 @@ def test_saturated_cut_reads_inf_in_both_modes():
         for cfg in (EXACT, OracleConfig(mode="sweep")):
             cut = sparsest_cut(Graph(2, edges), d, CutKind.NONUNIFORM, cfg)
             assert (cut.side, cut.residual_weight) == (frozenset({0}), INF)
+
+
+def test_complement_tie_returns_side_without_last_vertex():
+    # On the 4-cycle with k = 2, sides {0,3} and {1,2} are complements with
+    # sparsity 1/2 and free set (0,), which beats the (1,) of {0,1}. The
+    # first mask of the pair, {1,2}, lacks vertex 3; so does every side the
+    # tie key is asked about, since the scanner reads one side of each pair.
+    g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    d = DemandSet([(0, 2), (1, 3)])
+    for kind in CutKind:
+        tables = _mask_tables(g, d)
+        before = (tables[0], *map(list, tables[1:]))
+        got = k_route_sparsest_cut(g, d, 2, kind, EXACT)
+        assert (got.side, got.residual_weight, got.denominator,
+                got.free_edges) == _k_route_by_free_sets(g, d, 2, kind) == \
+            (frozenset({1, 2}), 1, 2, frozenset({0}))
+        asked = []
+        _scan_masks(tables, range(4), 0, kind, list(g.edges), 1,
+                    lambda mask, num: asked.append(mask) or 0)
+        assert asked and max(asked) < 1 << 3
+        assert _mask_tables(g, d) == before  # waiving wrote no cached table
+
+
+def test_vertex_complement_tie_with_separator():
+    # Removing hub 2 leaves edges 0-1 and 3-4, so side {0,1} of G - {2} has
+    # sparsity 0; its complement {3,4} holds rest[-1] = 4 and scores the
+    # same. Vertex 4 carries a terminal, so the uniform denominator needs
+    # G - D's whole terminal count.
+    g = Graph(5, [(0, 2, 5), (1, 2, 5), (3, 2, 5), (4, 2, 5), (0, 1, 1),
+                  (3, 4, 1)])
+    d = DemandSet([(0, 3), (1, 4)])
+    for kind in CutKind:
+        got = vertex_k_route_sparsest_cut(g, d, 2, kind, EXACT)
+        assert (got.residual_weight, got.denominator, got.side,
+                got.separator) == _vertex_by_separators(g, d, 2, kind, EXACT) \
+            == (0, 2, frozenset({0, 1}), frozenset({2}))
+        asked = []
+        assert _scan_masks(_mask_tables(g, d), [0, 1, 3, 4], 1 << 2, kind,
+                           tie_key=lambda mask, num: asked.append(mask) or 0) \
+            == (0, 2, 0b0011)
+        assert all(mask < 1 << 3 for mask in asked)
+
+
+def test_scan_masks_on_tiny_tables():
+    # Fewer than two vertices left have no proper side, so no answer and
+    # no error; two vertices have one side.
+    no_pairs = DemandSet([])
+    g = Graph(3, [(0, 1, 3), (1, 2, 5), (0, 2, 2)])
+    tables = _mask_tables(g, DemandSet([(0, 2)]))
+    for kind in CutKind:
+        assert _scan_masks(_mask_tables(Graph(0), no_pairs), [], 0,
+                           kind) is None
+        assert _scan_masks(_mask_tables(Graph(1), no_pairs), [0], 0,
+                           kind) is None
+        assert _scan_masks(_mask_tables(Graph(1), no_pairs), [], 1,
+                           kind) is None
+        assert _scan_masks(tables, [], 0b111, kind) is None
+        assert _scan_masks(tables, [0], 0b110, kind) is None
+        assert _scan_masks(tables, [0, 2], 0b010, kind) == (2, 1, 1)
+        assert _scan_masks(_mask_tables(Graph(2, [(0, 1, 3)]),
+                                        DemandSet([(0, 1)])),
+                           range(2), 0, kind) == (3, 1, 1)
+
+
+def test_saturated_tie_prefers_side_across_no_inf_edge():
+    # Side {0} crosses the INF edge and side {0,1} two 2^62 edges, whose
+    # sum passes INF: both read INF/1. The INF edge can never be cut, so
+    # {0,1} wins although {0} comes first.
+    g = Graph(3, [(0, 1, INF), (1, 2, 2**62), (1, 2, 2**62)])
+    d = DemandSet([(0, 2)])
+    kind = CutKind.NONUNIFORM
+    for cut in (sparsest_cut(g, d, kind, EXACT),
+                k_route_sparsest_cut(g, d, 1, kind, EXACT),
+                vertex_k_route_sparsest_cut(g, d, 1, kind, EXACT)):
+        assert (cut.side, cut.residual_weight, cut.denominator) == \
+            (frozenset({0, 1}), INF, 1)
+    # Waiving one edge, the INF one, leaves {0} three 2^62 edges: INF with
+    # no INF edge. The free set reported is that edge, not the first id.
+    g = Graph(2, [(0, 1, 2**62), (0, 1, 2**62), (0, 1, INF), (0, 1, 2**62)])
+    cut = k_route_sparsest_cut(g, DemandSet([(0, 1)]), 2, kind, EXACT)
+    assert (cut.side, cut.residual_weight, cut.free_edges) == \
+        (frozenset({0}), INF, frozenset({2}))
+    assert _k_route_by_free_sets(g, DemandSet([(0, 1)]), 2, kind) == \
+        (frozenset({0}), INF, 1, frozenset({2}))
