@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -261,14 +262,15 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
     mask), or None if no side has a positive denominator.
 
     `tables` are G's `_mask_tables`, D is the vertex mask `dm` and `rest`
-    the other vertices ascending; bit i of a mask is vertex rest[i]. Each
-    table c gives G - D's as (c(S) + c(S | D) - c(D)) / 2, read from a
-    slice when D is empty. A side and its complement in G - D have the same
-    cut, denominator, waived edges and tie key, and the first mask of the
-    pair lacks rest[-1], so only the sides without rest[-1] are scanned:
-    the lower half of G's tables when D is empty, else the subsets of
-    rest[:-1]. The uniform denominator min(d, d_total - d) needs G - D's
-    whole terminal count, d_in(V) - d_in(D), read before that halving.
+    the other vertices ascending; bit i of a mask is vertex rest[i]. A side
+    and its complement in G - D have the same cut, denominator, waived edges
+    and tie key, and the first mask of the pair lacks rest[-1], so only the
+    sides without rest[-1] are scanned. With D empty they are the lower
+    half of G's tables. Otherwise they are the subsets S of rest[:-1], and
+    each table c gives G - D's as c(S) less the sum over v in S of
+    (c(v) + c(D) - c(v | D)) / 2, the weight between v and D. The uniform
+    denominator min(d, d_total - d) needs G - D's whole terminal count,
+    d_in(V) - d_in(D), read before that halving.
 
     With D empty, each side of positive denominator waives the first
     `waive` edges of `ranked`, (u, v, w) tuples, that cross it: big off its
@@ -289,18 +291,28 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
     d_total = d_in[-1] - d_in[dm]
     dens = cross if kind is CutKind.NONUNIFORM else d_in
     if dm:
+        lower = rest[:-1]
         subs = [0]
-        for v in rest[:-1]:
-            subs += [s | 1 << v for s in subs]
-        cut, dens = ([(c[s] + c[s | dm] - c[dm]) >> 1 for s in subs]
-                     for c in (cut, dens))
+        for v in lower:
+            subs += list(map((1 << v).__or__, subs))
+        tabs = []
+        for c in (cut, dens):
+            off = [0]  # off[i]: weight between side i and D
+            for v in lower:
+                w = (c[1 << v] + c[dm] - c[1 << v | dm]) >> 1
+                off += list(map(w.__add__, off)) if w else off
+            tabs.append(list(map(operator.sub, map(c.__getitem__, subs), off)))
+        cut, dens = tabs
     else:
         half = len(cut) >> 1
         cut, dens = cut[:half], dens[:half]
     if kind is CutKind.UNIFORM:
         dens = [d if d + d <= d_total else d_total - d for d in dens]
+    sides = list(itertools.compress(range(len(dens)), dens))
+    if not sides:
+        return None
     if waive:  # `cut` is this scan's own copy, never the cached table
-        for mask in itertools.compress(range(len(dens)), dens):
+        for mask in sides:
             c, left = cut[mask], waive
             for u, v, w in ranked:
                 if w == 0:
@@ -311,13 +323,11 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
                     if not left:
                         break
             cut[mask] = c
-    nums = (cut if max(cut, default=0) < lim
-            else [c if c < lim else INF for c in cut])
-    quots = [f / d if d else math.inf for f, d in zip(nums, dens)]
-    low = min(quots, default=math.inf)
-    if low == math.inf:
-        return None
-    ties = itertools.compress(range(len(quots)), map(low.__eq__, quots))
+    nums = cut if max(cut) < lim else [c if c < lim else INF for c in cut]
+    quots = list(map(operator.truediv, map(nums.__getitem__, sides),
+                     map(dens.__getitem__, sides)))
+    low = min(quots)
+    ties = itertools.compress(sides, map(low.__eq__, quots))
     best = next(ties)
     best_key = None
     for i in ties:
