@@ -481,7 +481,7 @@ def _first_free_set(g: Graph, order: list[int], size: int, mask: int,
     free = []
     for i in order:
         u, v, w = g.edges[i]
-        if len(free) == size + saturated or w == 0 or saturated and w < INF:
+        if len(free) == size + saturated or w == 0 or (saturated and w < INF):
             break
         if ((mask >> u) ^ (mask >> v)) & 1:
             free.append(i)

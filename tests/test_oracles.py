@@ -614,6 +614,7 @@ def test_complement_tie_returns_side_without_last_vertex():
                 got.free_edges) == _k_route_by_free_sets(g, d, 2, kind) == \
             (frozenset({1, 2}), 1, 2, frozenset({0}))
         asked = []
+        # Equal weights: the edges in id order are heaviest first.
         _scan_masks(tables, range(4), 0, kind, list(g.edges), 1,
                     lambda mask, num: asked.append(mask) or 0)
         assert asked and max(asked) < 1 << 3
