@@ -35,7 +35,7 @@ CASES = [
     ("grid-ec", "grid", {"w": 3, "h": 3, "r": 3, "k": 2},
      ("uniform-ec", "ec"), BOTH),
     ("grid-ec", "grid", {"w": 3, "h": 3, "r": 3, "k": 2},
-     ("ec-polytime",), ("sweep",)),
+     ("ec-polytime",), BOTH),
     ("planted-ec", "planted", {"k": 2, "cheap_bridges": 2},
      ("uniform-ec", "ec", "ec-polytime"), BOTH),
     ("random-vc", "random", {"n": 6, "m": 16, "r": 2, "k": 2, "flavor": "vc"},
