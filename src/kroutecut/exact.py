@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import CapExceeded, Infeasible
 from .graph import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
-                    connectivity, wsum)
+                    PathCounter, connectivity, wsum)
 from .oracles import CutKind, SparseCut
 from .solvers import GRID_EPSILON, SolveResult
 
@@ -34,33 +34,79 @@ class RatioReport:
     within_bound: Optional[bool]
 
 
+def _atanh_bounds(p: int, q: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= atanh(p/q) * 2^bits <= hi, for 0 <= p/q <= 1/3.
+
+    The series sum of (p/q)^(2i+1) / (2i+1) is floor-summed in fixed point.
+    Each power is floored from the one before, so it lies less than 9/8
+    below its true value (every step adds under 1 to an error shrunk by
+    (p/q)^2 <= 1/9); each term then lies less than 3 below its own, and the
+    terms from the first zero power on sum to less than 2.
+    """
+    p2, q2 = p * p, q * q
+    power = (p << bits) // q
+    lo = terms = 0
+    while power:
+        lo += power // (2 * terms + 1)
+        power = power * p2 // q2
+        terms += 1
+    return lo, lo + 3 * terms + 2
+
+
 def log_lower(x: int, digits: int = 50) -> Fraction:
-    """Rational lower bound on ln(x), within 10^-digits of the true value."""
+    """Rational lower bound on ln(x), within 10^-digits of the true value.
+
+    It is (floor(ln(x) * 10^digits) - 1) / 10^digits, in integers only:
+    ln x = 2e atanh(1/3) + 2 atanh((x - 2^e) / (x + 2^e)) with
+    2^e <= x < 2^(e+1), bracketed in fixed point with guard bits doubled
+    until both ends give the same floor.
+    """
     if x <= 0:
         raise ValueError("log_lower needs a positive argument")
-    # Imported here: mpmath adds about 4 MiB and 40 ms to every import of the
-    # package, and only the ratio bounds need it.
-    import mpmath
-    with mpmath.workdps(digits + 15):
-        scaled = mpmath.floor(mpmath.ln(x) * mpmath.mpf(10) ** digits)
-    return Fraction(int(scaled) - 1, 10 ** digits)
+    e = x.bit_length() - 1
+    scale = 10 ** digits
+    guard = 32
+    while True:
+        bits = digits * 10 // 3 + guard  # 10/3 > log2(10)
+        lo2, hi2 = _atanh_bounds(1, 3, bits)
+        lo, hi = _atanh_bounds(x - (1 << e), x + (1 << e), bits)
+        low = (2 * (e * lo2 + lo) * scale) >> bits
+        if low == (2 * (e * hi2 + hi) * scale) >> bits:
+            return Fraction(low - 1, scale)
+        guard *= 2
 
 
 def brute_force_opt(inst: Instance) -> CutSolution:
-    """Minimum-weight feasible cut by branch and bound over finite edges."""
+    """Minimum-weight feasible cut by branch and bound over finite edges.
+
+    Edges are tried heaviest first. Each node takes one more edge; the
+    branches that leave edges in keep the node's removed set, and so its
+    answers, and run as a loop at the node. For every pair still
+    k-connected the edges of its last k-path flow are kept: taking an edge
+    outside them leaves the pair k-connected, so only the pairs whose flow
+    used the taken edge get a new flow, on one reusable unit network. Among
+    equal weights the lexicographically least sorted id tuple wins.
+    """
     g = inst.graph
     finite = [i for i, e in enumerate(g.edges) if e.w < INF]
     if len(finite) > BRUTE_EDGE_CAP:
         raise CapExceeded(f"{len(finite)} finite edges exceeds cap {BRUTE_EDGE_CAP}")
     k = inst.k
+    paths = PathCounter(g, inst.flavor)
 
-    all_removed = frozenset(finite)
-    violated0 = [
-        (s, t) for s, t in inst.demands.pairs
-        if connectivity(g, s, t, inst.flavor, limit=k) >= k
-    ]
-    for s, t in violated0:
-        if connectivity(g, s, t, inst.flavor, exclude=all_removed, limit=k) >= k:
+    def connected(s: int, t: int, removed) -> Optional[frozenset[int]]:
+        """The edges of k disjoint s-t paths avoiding `removed`, if any."""
+        if paths.count(s, t, removed, limit=k) >= k:
+            return paths.used_edges()
+        return None
+
+    violated0 = []
+    for s, t in inst.demands.pairs:
+        used = connected(s, t, ())
+        if used is not None:
+            violated0.append((s, t, used))
+    for s, t, _ in violated0:
+        if connected(s, t, finite) is not None:
             raise Infeasible(f"pair ({s},{t}) stays {k}-connected without finite edges")
 
     order = sorted(finite, key=lambda i: (-g.edges[i].w, i))
@@ -72,25 +118,27 @@ def brute_force_opt(inst: Instance) -> CutSolution:
         nonlocal best_cost, best_ids
         if cost > best_cost:
             return
-        excl = frozenset(removed)
-        still = [
-            (s, t) for s, t in violated
-            if connectivity(g, s, t, inst.flavor, exclude=excl, limit=k) >= k
-        ]
-        if not still:
+        if not violated:
             key = (cost, tuple(sorted(removed)))
             if key < (best_cost, best_ids):
                 best_cost, best_ids = key
             return
-        if idx == len(order):
-            return
-        e = order[idx]
-        w = g.edges[e].w
-        if cost + w <= best_cost:
-            removed.append(e)
-            dfs(idx + 1, removed, cost + w, still)
-            removed.pop()
-        dfs(idx + 1, removed, cost, still)
+        for j in range(idx, len(order)):
+            if cost > best_cost:
+                return
+            e = order[j]
+            w = g.edges[e].w
+            if cost + w <= best_cost:
+                removed.append(e)
+                still = []
+                for s, t, used in violated:
+                    if e in used:
+                        used = connected(s, t, removed)
+                        if used is None:
+                            continue
+                    still.append((s, t, used))
+                dfs(j + 1, removed, cost + w, still)
+                removed.pop()
 
     dfs(0, [], 0, violated0)
     return CutSolution(frozenset(best_ids), best_cost, k)

@@ -85,6 +85,13 @@ class Graph:
             inc[e.v].append(i)
         return tuple(tuple(x) for x in inc)
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(edge id, other endpoint) of the edges at each vertex."""
+        edges = self.edges
+        return tuple(tuple((i, edges[i].u + edges[i].v - v) for i in inc)
+                     for v, inc in enumerate(self.incidence))
+
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
 
@@ -174,6 +181,8 @@ class CutSolution:
     def from_edges(g: Graph, removed: Iterable[int], achieved_k: int) -> "CutSolution":
         ids = frozenset(removed)
         for eid in ids:
+            if not 0 <= eid < g.edge_count:
+                raise ValueError(f"edge id {eid} out of range")
             if g.weight(eid) >= INF:
                 raise Infeasible(f"edge {eid} has infinite weight and cannot be removed")
         return CutSolution(ids, sum(g.weight(e) for e in ids), achieved_k)
@@ -294,27 +303,13 @@ def _edge_net(g: Graph, caps: Sequence[int],
     return net, arc_of
 
 
-def num_edge_disjoint_paths(g: Graph, s: int, t: int,
-                            exclude: frozenset[int] = frozenset(),
-                            limit: Optional[int] = None) -> int:
-    """Maximum number of pairwise edge-disjoint s-t paths.
-
-    Each parallel edge is a separate unit of capacity; weights are ignored.
-    """
-    g.check_vertex(s)
-    g.check_vertex(t)
-    if s == t:
-        raise InvalidVertex("s and t must differ")
-    net, _ = _edge_net(g, [1] * g.edge_count, exclude)
-    return net.max_flow(s, t, limit)
-
-
 def _split_net(g: Graph, s: int, t: int, vertex_caps: dict[int, int],
-               edge_cap: int | None,
-               exclude_edges: frozenset[int] = frozenset()) -> FlowNet:
+               edge_cap: int | None) -> tuple[FlowNet, list[int]]:
     """Node-splitting network: vertex v != s,t becomes v_in=2v, v_out=2v+1.
 
     Edges get capacity `edge_cap` each (None means INF, i.e. uncuttable).
+    Returns (net, arc index per edge); an edge's two directions are the arcs
+    a and a + 2.
     """
     n = g.vertex_count
     net = FlowNet(2 * n)
@@ -329,12 +324,85 @@ def _split_net(g: Graph, s: int, t: int, vertex_caps: dict[int, int],
         if v not in (s, t):
             net.add_arc(2 * v, 2 * v + 1, vertex_caps.get(v, INF))
     ec = INF if edge_cap is None else edge_cap
-    for i, e in enumerate(g.edges):
-        if i in exclude_edges:
-            continue
-        net.add_arc(port_out(e.u), port_in(e.v), ec)
+    arc_of = []
+    for e in g.edges:
+        arc_of.append(net.add_arc(port_out(e.u), port_in(e.v), ec))
         net.add_arc(port_out(e.v), port_in(e.u), ec)
-    return net
+    return net, arc_of
+
+
+class PathCounter:
+    """Disjoint s-t path counts in one graph, on reusable unit networks.
+
+    The edge flavor builds one network for the graph; the vertex flavor one
+    node-splitting network per pair, since s and t stay unsplit. Each count
+    restores the unit capacities and sets the arcs of excluded edges to 0,
+    so it finds the flow a network built without those edges would find.
+    Weights are ignored: every edge is one unit of capacity.
+    """
+
+    __slots__ = ("g", "flavor", "_nets", "_last")
+
+    def __init__(self, g: Graph, flavor: Flavor):
+        self.g = g
+        self.flavor = flavor
+        # key -> (net, the two arcs of each edge, unit capacities)
+        self._nets: dict = {}
+        self._last = None
+
+    def _net(self, s: int, t: int):
+        key = None if self.flavor is Flavor.EDGE else (min(s, t), max(s, t))
+        found = self._nets.get(key)
+        if found is None:
+            g = self.g
+            if key is None:
+                net, arc_of = _edge_net(g, [1] * g.edge_count)
+                arcs = [(a, a + 1) for a in arc_of]
+            else:
+                units = dict.fromkeys(range(g.vertex_count), 1)
+                net, arc_of = _split_net(g, s, t, units, edge_cap=1)
+                arcs = [(a, a + 2) for a in arc_of]
+            found = self._nets[key] = (net, arcs, net.cap[:])
+        return found
+
+    def count(self, s: int, t: int, exclude: Iterable[int] = (),
+              limit: Optional[int] = None) -> int:
+        """Disjoint s-t paths avoiding `exclude`, or `limit` if fewer."""
+        g = self.g
+        g.check_vertex(s)
+        g.check_vertex(t)
+        if s == t:
+            raise InvalidVertex("s and t must differ")
+        net, arcs, base = self._net(s, t)
+        self._last = (net, arcs, base, exclude)
+        cap = net.cap
+        cap[:] = base
+        for e in exclude:
+            a, b = arcs[e]
+            cap[a] = cap[b] = 0
+        if self.flavor is Flavor.EDGE:
+            return net.max_flow(s, t, limit)
+        return net.max_flow(2 * s, 2 * t, limit)
+
+    def used_edges(self) -> frozenset[int]:
+        """Edges carrying flow after the last count, whose `exclude` must
+        be unchanged since. Deleting any other edge leaves as many paths,
+        since the flow's paths avoid it."""
+        net, arcs, base, exclude = self._last
+        cap = net.cap
+        return frozenset(e for e, (a, b) in enumerate(arcs)
+                         if (cap[a] != base[a] or cap[b] != base[b])
+                         and e not in exclude)
+
+
+def num_edge_disjoint_paths(g: Graph, s: int, t: int,
+                            exclude: frozenset[int] = frozenset(),
+                            limit: Optional[int] = None) -> int:
+    """Maximum number of pairwise edge-disjoint s-t paths.
+
+    Each parallel edge is a separate unit of capacity; weights are ignored.
+    """
+    return PathCounter(g, Flavor.EDGE).count(s, t, exclude, limit)
 
 
 def num_vertex_disjoint_paths(g: Graph, s: int, t: int,
@@ -344,13 +412,7 @@ def num_vertex_disjoint_paths(g: Graph, s: int, t: int,
 
     Direct s-t edges each count as one path (mixed Menger convention).
     """
-    g.check_vertex(s)
-    g.check_vertex(t)
-    if s == t:
-        raise InvalidVertex("s and t must differ")
-    caps = {v: 1 for v in range(g.vertex_count)}
-    net = _split_net(g, s, t, caps, edge_cap=1, exclude_edges=exclude)
-    return net.max_flow(2 * s, 2 * t, limit)
+    return PathCounter(g, Flavor.VERTEX).count(s, t, exclude, limit)
 
 
 def min_weight_edge_st_cut(g: Graph, s: int, t: int,
@@ -380,7 +442,7 @@ def min_weight_vertex_st_cut(g: Graph, vertex_weights: dict[int, int], s: int,
     for e in g.edges:
         if {e.u, e.v} == {s, t}:
             raise NoSeparator("s and t are adjacent")
-    net = _split_net(g, s, t, vertex_weights, edge_cap=None)
+    net, _ = _split_net(g, s, t, vertex_weights, edge_cap=None)
     value = net.max_flow(2 * s, 2 * t)
     reach = net.residual_reachable(2 * s)
     separator = frozenset(
@@ -402,9 +464,9 @@ def is_feasible(inst: Instance, sol: CutSolution, relaxed_k: int) -> bool:
     """True iff every pair has fewer than relaxed_k disjoint paths left."""
     if relaxed_k < 1:
         raise ValueError("relaxed_k must be >= 1")
-    removed = frozenset(sol.removed_edge_ids)
+    paths = PathCounter(inst.graph, inst.flavor)
     for s, t in inst.demands.pairs:
-        if connectivity(inst.graph, s, t, inst.flavor, removed, limit=relaxed_k) >= relaxed_k:
+        if paths.count(s, t, sol.removed_edge_ids, limit=relaxed_k) >= relaxed_k:
             return False
     return True
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import (Infeasible, NoFeasibleGuess, NonUniformWeights,
                      SelfCheckFailed)
 from .graph import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
-                    connectivity, induced_subinstance, is_feasible,
+                    PathCounter, connectivity, induced_subinstance, is_feasible,
                     min_weight_edge_st_cut, min_weight_vertex_st_cut,
                     num_vertex_disjoint_paths)
 from .oracles import (CutKind, OracleConfig, k_route_sparsest_cut,
@@ -48,8 +48,9 @@ class SolveResult:
 
 
 def _live_pairs(g: Graph, pairs, flavor: Flavor, threshold: int):
+    paths = PathCounter(g, flavor)
     return [(s, t) for s, t in pairs
-            if connectivity(g, s, t, flavor, limit=threshold) >= threshold]
+            if paths.count(s, t, limit=threshold) >= threshold]
 
 
 def _guard_finite(g: Graph, edge_ids) -> None:

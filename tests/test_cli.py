@@ -215,11 +215,36 @@ def test_cli_oracle_mode_only_for_multicut(tmp_path):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # Only the ratio bounds need mpmath, and it costs about 4 MiB of RSS.
+    # Nothing in the package needs mpmath, which costs about 4 MiB of RSS.
     src = Path(kroutecut.__file__).resolve().parents[1]
     code = "import sys, kroutecut.cli; sys.exit('mpmath' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_ratio_leaves_mpmath_unloaded(tmp_path):
+    # The ratio bounds' logarithms are integer arithmetic.
+    inst_file = tmp_path / "p.krc"
+    inst_file.write_text(PATH_TEXT)
+    src = Path(kroutecut.__file__).resolve().parents[1]
+    code = ("import sys\nfrom kroutecut.cli import run\n"
+            f"code = run(['solve', '--alg', 'uniform-ec', '--input', "
+            f"{str(inst_file)!r}, '--ratio', '--report', "
+            f"{str(tmp_path / 'out.json')!r}])\n"
+            "sys.exit(code or 'mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert "bound" in json.loads((tmp_path / "out.json").read_text())
+
+
+def test_cli_verify_rejects_edge_ids_out_of_range(tmp_path):
+    inst_file = tmp_path / "p.krc"
+    inst_file.write_text(PATH_TEXT)
+    for ids in ([-1], [2], [0, 7]):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"removed_edges": ids}))
+        assert run(["verify", "--input", str(inst_file),
+                    "--solution", str(sol)]) == 2
 
 
 def test_cli_gen_writes_sidecar(tmp_path):

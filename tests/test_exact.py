@@ -5,8 +5,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from kroutecut import DemandSet, Flavor, Graph, INF, SolverParams, solve_uniform_ec
+from kroutecut import (DemandSet, Flavor, Graph, INF, Instance, SolverParams,
+                       connectivity, solve_uniform_ec)
 from kroutecut.errors import CapExceeded, Infeasible
+from kroutecut.graph import FlowNet
 from kroutecut.exact import (brute_force_opt, brute_force_sparsest,
                              cost_bound, log_lower, ratio_report,
                              route_sparsity_vs_opt,
@@ -14,7 +16,7 @@ from kroutecut.exact import (brute_force_opt, brute_force_sparsest,
                              uniform_sparsity_vs_opt)
 from kroutecut.oracles import CutKind
 
-from helpers import make_instance, random_instance
+from helpers import make_instance, random_graph, random_instance, random_pairs
 
 
 def test_brute_force_path():
@@ -68,6 +70,88 @@ def test_brute_force_dominates_any_feasible():
             assert opt.total_weight <= sol.total_weight
 
 
+def _brute_force_opt_reference(inst):
+    """The plain search: every node, a leave-in branch included, asks
+    `connectivity` afresh for each pair not yet cut. Returns (ids, weight,
+    nodes that took an edge)."""
+    g = inst.graph
+    k = inst.k
+    finite = [i for i, e in enumerate(g.edges) if e.w < INF]
+    violated0 = [(s, t) for s, t in inst.demands.pairs
+                 if connectivity(g, s, t, inst.flavor, limit=k) >= k]
+    for s, t in violated0:
+        if connectivity(g, s, t, inst.flavor, exclude=frozenset(finite),
+                        limit=k) >= k:
+            raise Infeasible("stays connected")
+    order = sorted(finite, key=lambda i: (-g.edges[i].w, i))
+    best = [sum(g.edges[i].w for i in finite), tuple(sorted(finite))]
+    takes = 0
+
+    def dfs(idx, removed, cost, violated):
+        nonlocal takes
+        if cost > best[0]:
+            return
+        excl = frozenset(removed)
+        still = [(s, t) for s, t in violated
+                 if connectivity(g, s, t, inst.flavor, exclude=excl,
+                                 limit=k) >= k]
+        if not still:
+            key = (cost, tuple(sorted(removed)))
+            if key < tuple(best):
+                best[:] = key
+            return
+        if idx == len(order):
+            return
+        e = order[idx]
+        w = g.edges[e].w
+        if cost + w <= best[0]:
+            takes += 1
+            removed.append(e)
+            dfs(idx + 1, removed, cost + w, still)
+            removed.pop()
+        dfs(idx + 1, removed, cost, still)
+
+    dfs(0, [], 0, violated0)
+    return frozenset(best[1]), best[0], takes
+
+
+def test_brute_force_opt_matches_plain_search(monkeypatch):
+    # Same set, not only the same weight: zero weights and parallel edges
+    # make ties, INF edges make pairs uncuttable, and both flavors run.
+    flows = [0]
+    plain = FlowNet.max_flow
+
+    def counted(self, *args, **kwargs):
+        flows[0] += 1
+        return plain(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowNet, "max_flow", counted)
+    rng = random.Random(151)
+    solved = 0
+    for i in range(500):
+        flavor = (Flavor.EDGE, Flavor.VERTEX)[i % 2]
+        n = rng.randint(2, 6)
+        g = random_graph(rng, n, rng.randint(1, 10), wmin=0, wmax=4,
+                         inf_prob=0.1)
+        r = rng.randint(1, 3)
+        inst = Instance(g, DemandSet(random_pairs(rng, n, r)),
+                        rng.randint(1, 3), flavor)
+        try:
+            want = _brute_force_opt_reference(inst)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                brute_force_opt(inst)
+            continue
+        flows[0] = 0
+        got = brute_force_opt(inst)
+        assert (got.removed_edge_ids, got.total_weight) == want[:2]
+        # One flow per pair up front and for the infeasibility check, then
+        # at most one per pair at each node that takes an edge.
+        assert flows[0] <= r * (want[2] + 2)
+        solved += 1
+    assert solved > 400
+
+
 def test_brute_sparsest_examples():
     path = Graph(3, [(0, 1, 1), (1, 2, 1)])
     cut = brute_force_sparsest(path, DemandSet([(0, 2)]), 1)
@@ -89,6 +173,23 @@ def test_log_lower_bounds():
         with mpmath.workdps(80):
             assert mpmath.mpf(lo.numerator) / lo.denominator < mpmath.ln(x)
         assert float(lo) == pytest.approx(math.log(x), abs=1e-12)
+
+
+def _log_lower_mpmath(x, digits):
+    with mpmath.workdps(digits + 15):
+        scaled = mpmath.floor(mpmath.ln(x) * mpmath.mpf(10) ** digits)
+    return Fraction(int(scaled) - 1, 10 ** digits)
+
+
+def test_log_lower_matches_mpmath_formula():
+    rng = random.Random(157)
+    xs = list(range(1, 3001))
+    xs += [v for j in range(301) for v in (2**j - 1, 2**j, 2**j + 1) if v]
+    xs += [rng.randrange(1, 2**200) for _ in range(200)]
+    for digits in (1, 5, 10, 30, 50, 80):
+        for x in xs:
+            assert log_lower(x, digits) == _log_lower_mpmath(x, digits), \
+                (x, digits)
 
 
 def test_cost_bound_uniform_example():

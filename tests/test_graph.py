@@ -7,6 +7,7 @@ from kroutecut import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
                        min_weight_edge_st_cut, min_weight_vertex_st_cut,
                        num_edge_disjoint_paths, num_vertex_disjoint_paths)
 from kroutecut.errors import Infeasible, InvalidVertex, NoSeparator
+from kroutecut.graph import PathCounter, connectivity
 
 from helpers import (brute_min_edge_cut_cardinality, brute_min_vertex_separator,
                      brute_min_weight_side, cut_weight, random_graph,
@@ -176,3 +177,50 @@ def test_min_cut_vs_brute_random():
         if value < INF:
             assert 0 in side and 1 not in side
             assert cut_weight(g, side) == value
+
+
+def _networkx_paths(nx, g, s, t, flavor, exclude):
+    """Path counts of G - exclude by networkx: edge flavor as a max flow
+    with parallel edges summed into capacities, vertex flavor as the direct
+    s-t edges plus the node connectivity of the simple graph without them."""
+    kept = [e for i, e in enumerate(g.edges) if i not in exclude]
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    if flavor is Flavor.EDGE:
+        for e in kept:
+            if h.has_edge(e.u, e.v):
+                h[e.u][e.v]["capacity"] += 1
+            else:
+                h.add_edge(e.u, e.v, capacity=1)
+        return nx.maximum_flow_value(h, s, t)
+    direct = sum(1 for e in kept if {e.u, e.v} == {s, t})
+    h.add_edges_from((e.u, e.v) for e in kept if {e.u, e.v} != {s, t})
+    return direct + nx.node_connectivity(h, s, t)
+
+
+def test_path_counter_matches_networkx():
+    # One counter per graph and flavor answers every query, so a capacity
+    # or an excluded arc left over from an earlier call shows up here.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(167)
+    for _ in range(120):
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n, rng.randint(0, 14))
+        for flavor in Flavor:
+            paths = PathCounter(g, flavor)
+            for _ in range(6):
+                s, t = random_pairs(rng, n, 1)[0]
+                exclude = frozenset(i for i in range(g.edge_count)
+                                    if rng.random() < 0.3)
+                limit = rng.choice([None, 1, 2, 3])
+                want = _networkx_paths(nx, g, s, t, flavor, exclude)
+                if limit is not None:
+                    want = min(want, limit)
+                assert paths.count(s, t, exclude, limit) == want
+                assert connectivity(g, s, t, flavor, exclude, limit) == want
+                # The flow's edges carry the paths alone.
+                used = paths.used_edges()
+                assert not used & exclude
+                rest = frozenset(range(g.edge_count)) - used
+                assert PathCounter(g, flavor).count(
+                    s, t, exclude | rest, limit) == want

@@ -9,7 +9,9 @@ from kroutecut import (INF, DemandSet, Flavor, Graph, OracleConfig,
                        gomory_hu, k_route_sparsest_cut,
                        k_route_sparsest_cut_bicriteria, l_multicut,
                        laminar_min_cut_family, min_weight_edge_st_cut,
-                       sparsest_cut, vertex_k_route_sparsest_cut)
+                       num_edge_disjoint_paths, sparsest_cut,
+                       vertex_k_route_sparsest_cut)
+from kroutecut import oracles
 from kroutecut.errors import (ExactCapExceeded, FreeSetBlowup, Infeasible,
                               KrcError, NoCandidateCut, SeparatorBlowup)
 from kroutecut.exact import brute_force_sparsest
@@ -243,6 +245,109 @@ def test_greedy_multicut_separates():
                       if num_edge_disjoint_paths(
                           g, s, t, exclude=cut, limit=1) == 0)
             assert sep >= ell
+
+
+def _separated_by_flows(g, d, removed):
+    return sum(1 for s, t in d.pairs
+               if num_edge_disjoint_paths(g, s, t, exclude=frozenset(removed),
+                                          limit=1) == 0)
+
+
+def _greedy_multicut_reference(g, d, ell):
+    """The greedy multicut on per-call path counts; returns (set, rounds)."""
+    removed = set()
+    rounds = 0
+    while _separated_by_flows(g, d, removed) < ell:
+        rounds += 1
+        best = None
+        for i, (s, t) in enumerate(d.pairs):
+            if num_edge_disjoint_paths(g, s, t, exclude=frozenset(removed),
+                                       limit=1) == 0:
+                continue
+            value, side = min_weight_edge_st_cut(g, s, t,
+                                                 exclude=frozenset(removed))
+            if value >= INF:
+                continue
+            if best is None or value < best[0]:
+                best = (value, i, g.cut_edges(side, exclude=frozenset(removed)))
+        if best is None:
+            raise Infeasible("cannot separate")
+        removed.update(best[2])
+    return frozenset(removed), rounds
+
+
+def _exact_multicut_reference(g, d, ell):
+    """The plain branch and bound: every node, a leave-in branch included,
+    counts separated pairs afresh. Returns (set, greedy rounds, nodes that
+    took an edge)."""
+    finite = sorted((i for i, e in enumerate(g.edges) if e.w < INF),
+                    key=lambda i: (-g.edges[i].w, i))
+    if _separated_by_flows(g, d, finite) < ell:
+        raise Infeasible("cannot separate")
+    seed, rounds = _greedy_multicut_reference(g, d, ell)
+    best = [sum(g.edges[i].w for i in seed), tuple(sorted(seed))]
+    takes = 0
+
+    def dfs(idx, removed, cost):
+        nonlocal takes
+        if cost > best[0]:
+            return
+        if _separated_by_flows(g, d, removed) >= ell:
+            key = (cost, tuple(sorted(removed)))
+            if key < tuple(best):
+                best[:] = key
+            return
+        if idx == len(finite):
+            return
+        e = finite[idx]
+        w = g.edges[e].w
+        if cost + w <= best[0]:
+            takes += 1
+            removed.append(e)
+            dfs(idx + 1, removed, cost + w)
+            removed.pop()
+        dfs(idx + 1, removed, cost)
+
+    dfs(0, [], 0)
+    return frozenset(best[1]), rounds, takes
+
+
+def test_multicut_matches_plain_search(monkeypatch):
+    # Same sets, not only the same weights, for every ell in 0..r: zero
+    # weights and parallel edges make ties, INF edges make pairs uncuttable.
+    labellings = [0]
+    plain = oracles._labels
+
+    def counted(*args):
+        labellings[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(oracles, "_labels", counted)
+    rng = random.Random(163)
+    greedy = OracleConfig(mode="sweep", seed=1)
+    solved = 0
+    for _ in range(500):
+        g = random_graph(rng, rng.randint(2, 6), rng.randint(1, 10), wmin=0,
+                         wmax=4, inf_prob=0.1)
+        d = DemandSet(random_pairs(rng, g.vertex_count, rng.randint(1, 3)))
+        for ell in range(d.r + 1):
+            try:
+                want, rounds, takes = _exact_multicut_reference(g, d, ell)
+            except Infeasible:
+                for cfg in (EXACT, greedy):
+                    with pytest.raises(Infeasible):
+                        l_multicut(g, d, ell, cfg)
+                continue
+            labellings[0] = 0
+            assert l_multicut(g, d, ell, EXACT) == want
+            # One labelling for the check, one per greedy round and one at
+            # the end of the greedy search, one at the root, and at most
+            # one at each node that takes an edge.
+            assert labellings[0] <= rounds + takes + 3
+            assert l_multicut(g, d, ell, greedy) == \
+                _greedy_multicut_reference(g, d, ell)[0]
+            solved += 1
+    assert solved > 1000
 
 
 def test_bicriteria_clipping_rule():
