@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the oracle implementations it
 is used to validate: subset enumeration and branch and bound only, written in
-the plainest possible style.
+the plainest possible style. The branch and bound reuses its own flow answers;
+tests/test_exact.py keeps the plain search as its reference.
 """
 
 from __future__ import annotations

@@ -85,13 +85,6 @@ class Graph:
             inc[e.v].append(i)
         return tuple(tuple(x) for x in inc)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """(edge id, other endpoint) of the edges at each vertex."""
-        edges = self.edges
-        return tuple(tuple((i, edges[i].u + edges[i].v - v) for i in inc)
-                     for v, inc in enumerate(self.incidence))
-
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
 

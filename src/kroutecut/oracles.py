@@ -552,14 +552,22 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
 # Multicut backends and the polynomial-time bi-criteria oracle.
 
 
-def _labels(g: Graph, removed) -> list[int]:
+def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
+    """(edge id, other endpoint) of the edges at each vertex."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for i, (u, v, _) in enumerate(g.edges):
+        adjacency[u].append((i, v))
+        adjacency[v].append((i, u))
+    return adjacency
+
+
+def _labels(adjacency, removed) -> list[int]:
     """Component number of each vertex in G - removed, in order of the
     components' least vertices. Two vertices are joined by a path exactly
     when their labels agree."""
-    label = [-1] * g.vertex_count
-    adjacency = g.adjacency
+    label = [-1] * len(adjacency)
     count = 0
-    for start in range(g.vertex_count):
+    for start in range(len(adjacency)):
         if label[start] >= 0:
             continue
         label[start] = count
@@ -579,8 +587,9 @@ def _count_separated(demands: DemandSet, label: list[int]) -> int:
 
 def _greedy_multicut(g: Graph, demands: DemandSet, ell: int) -> frozenset[int]:
     removed: set[int] = set()
+    adjacency = _adjacency(g)
     while True:
-        label = _labels(g, removed)
+        label = _labels(adjacency, removed)
         if _count_separated(demands, label) >= ell:
             return frozenset(removed)
         best = None  # (value, pair index, cut ids)
@@ -610,7 +619,8 @@ def _exact_multicut(g: Graph, demands: DemandSet, ell: int) -> frozenset[int]:
     """
     finite = sorted((i for i, e in enumerate(g.edges) if e.w < INF),
                     key=lambda i: (-g.edges[i].w, i))
-    if _count_separated(demands, _labels(g, frozenset(finite))) < ell:
+    adjacency = _adjacency(g)
+    if _count_separated(demands, _labels(adjacency, frozenset(finite))) < ell:
         raise Infeasible(f"cannot separate {ell} pairs with finite edges")
     seed = sorted(_greedy_multicut(g, demands, ell))
     best_cost = sum(g.edges[i].w for i in seed)
@@ -633,10 +643,10 @@ def _exact_multicut(g: Graph, demands: DemandSet, ell: int) -> frozenset[int]:
             if cost + w <= best_cost:
                 removed.append(e)
                 dfs(j + 1, removed, cost + w, label if label[u] != label[v]
-                    else _labels(g, frozenset(removed)))
+                    else _labels(adjacency, frozenset(removed)))
                 removed.pop()
 
-    dfs(0, [], 0, _labels(g, ()))
+    dfs(0, [], 0, _labels(adjacency, ()))
     return frozenset(best_set)
 
 
@@ -657,7 +667,7 @@ def l_multicut(g: Graph, demands: DemandSet, ell: int,
 
 
 def _components(g: Graph, removed: frozenset[int]) -> list[list[int]]:
-    label = _labels(g, removed)
+    label = _labels(_adjacency(g), removed)
     comps: list[list[int]] = [[] for _ in range(max(label, default=-1) + 1)]
     for v, c in enumerate(label):
         comps[c].append(v)
@@ -716,7 +726,7 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
         thresholds = [0]
 
     max_sep = _count_separated(demands, _labels(
-        g, frozenset(i for i, e in enumerate(g.edges) if e.w < INF)))
+        _adjacency(g), frozenset(i for i, e in enumerate(g.edges) if e.w < INF)))
 
     best = None  # (num, den, side, free tuple)
     for r_target in range(1, min(demands.r, max_sep) + 1):
