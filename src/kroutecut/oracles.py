@@ -37,14 +37,15 @@ class OracleConfig:
     mode "exact" enumerates every vertex subset (factor 1) and refuses graphs
     above exact_vertex_cap; mode "sweep" orders vertices by iterative
     neighbor averaging from seeded random starts and takes the best prefix
-    cut. Enumeration budgets are hard errors, never silent truncation.
+    cut. On graphs of at most SWEEP_EXACT_MAX vertices sweep mode scans
+    exactly too, so there both modes give the same answers. Enumeration
+    budgets are hard errors, never silent truncation.
     """
 
     mode: str = "exact"
     exact_vertex_cap: int = 20
     seed: int = 0
     sweep_restarts: int = 3
-    sweep_rounds: int = 8
     free_set_budget: int = 200_000
     separator_budget: int = 200_000
 
@@ -348,6 +349,18 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
     return nums[best], dens[best], best
 
 
+# Neighbor-averaging rounds per sweep ordering.
+SWEEP_ROUNDS = 8
+# Sweep mode scans graphs of at most this many vertices exactly: their tables
+# hold at most 2^10 entries, so one scan costs less than one sweep per free
+# set, and the answer is never worse than the sweep's.
+SWEEP_EXACT_MAX = 10
+
+
+def _scans_exactly(g: Graph, cfg: OracleConfig) -> bool:
+    return cfg.mode == "exact" or g.vertex_count <= SWEEP_EXACT_MAX
+
+
 def _sweep_orderings(g: Graph, cfg: OracleConfig,
                      exclude: frozenset[int]) -> list[tuple[int, ...]]:
     n = g.vertex_count
@@ -366,7 +379,7 @@ def _sweep_orderings(g: Graph, cfg: OracleConfig,
     orderings = []
     for _ in range(max(1, cfg.sweep_restarts)):
         x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        for _ in range(max(1, cfg.sweep_rounds)):
+        for _ in range(SWEEP_ROUNDS):
             nxt = []
             for v in range(n):
                 tot = tots[v]
@@ -395,6 +408,7 @@ def _sweep_prefix_best(g: Graph, d_of: list[int], d_total: int, pairs,
     n = g.vertex_count
     big = g.total_finite_weight() + 1
     lim = min(big, INF)
+    incidence = g.incidence
     best = None
     for order in _sweep_orderings(g, cfg, exclude):
         in_side = [False] * n
@@ -404,7 +418,7 @@ def _sweep_prefix_best(g: Graph, d_of: list[int], d_total: int, pairs,
             in_side[v] = True
             mask |= 1 << v
             d_in += d_of[v]
-            for ei in g.incidence[v]:
+            for ei in incidence[v]:
                 if ei in exclude:
                     continue
                 e = g.edges[ei]
@@ -444,7 +458,7 @@ def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
     if demands.r < 1:
         raise ValueError("need at least one demand pair")
     _check_exact_cap(g.vertex_count, cfg)
-    if cfg.mode == "exact":
+    if _scans_exactly(g, cfg):
         # Excluded edges are waived from every cut weight, which is the same
         # as deleting them and keeps the cached tables valid.
         ranked = [tuple(g.edges[e])
@@ -505,10 +519,12 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     k-route sparsest cut. Among optimal (free set, side) pairs it prefers
     one whose residual crosses no INF edge, then returns the first free set
     in `itertools.combinations` order, then the first side, which lacks
-    vertex n-1. Sweep mode runs the plain sweep once per free set of size
-    k-1 with that set deleted. The free-set budget is checked in both modes,
-    so that both refuse the same inputs; exact mode does not enumerate
-    free sets, and the check can go once sweep mode stops doing so too.
+    vertex n-1. Sweep mode makes the same pass on graphs of at most
+    SWEEP_EXACT_MAX vertices, and on larger ones runs the plain sweep once
+    per free set of size k-1 with that set deleted. The free-set budget is
+    checked in both modes and at every size, so that both refuse the same
+    inputs; the exact pass does not enumerate free sets, and the check can
+    go once sweep mode stops doing so too.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -517,7 +533,7 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     if count > cfg.free_set_budget:
         raise FreeSetBlowup(
             f"{count} free sets exceed budget {cfg.free_set_budget}")
-    if cfg.mode == "exact":
+    if _scans_exactly(g, cfg):
         if demands.r < 1:
             raise ValueError("need at least one demand pair")
         _check_exact_cap(g.vertex_count, cfg)
@@ -707,8 +723,11 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
 
     Sweeps a grid of separated-pair targets and weight-clipping thresholds,
     solves a multicut for each, flips whole components to maximize separated
-    pairs, and waives the most expensive surviving cut edges. The realized
-    free-set size is recorded so callers learn the achieved route count.
+    pairs, and waives the most expensive surviving cut edges. INF edges are
+    clipped like finite ones, so a multicut may cut them, but they are
+    waived first and never paid: a side that crosses more of them than it
+    waives scores INF. The realized free-set size is recorded so callers
+    learn the achieved route count.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -726,14 +745,13 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
         thresholds = [0]
 
     max_sep = _count_separated(demands, _labels(
-        _adjacency(g), frozenset(i for i, e in enumerate(g.edges) if e.w < INF)))
+        _adjacency(g), frozenset(range(g.edge_count))))
 
     best = None  # (num, den, side, free tuple)
     for r_target in range(1, min(demands.r, max_sep) + 1):
         for thr in thresholds:
             clipped = Graph(g.vertex_count,
-                            [(e.u, e.v,
-                              e.w if e.w >= INF else min(e.w * (k - 1), thr))
+                            [(e.u, e.v, min(e.w * (k - 1), thr, INF))
                              for e in g.edges])
             try:
                 removed = l_multicut(clipped, demands, r_target, cfg)
@@ -783,8 +801,10 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
 
     Pairs with an endpoint inside the separator never count toward the
     split-pair denominator; terminal-count denominators keep full counts.
-    Exact mode reads each G - D from G's tables. Ties: first D; within
-    one D, a side across no INF edge, then the first S.
+    Exact mode reads each G - D from G's tables, and so does sweep mode if
+    G has at most SWEEP_EXACT_MAX vertices; larger graphs in sweep mode
+    sweep each G - D. Ties: first D; within one D, a side across no INF
+    edge, then the first S.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -792,13 +812,14 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
         raise ValueError("need at least one demand pair")
     n = g.vertex_count
     _check_exact_cap(n, cfg)
+    exact = _scans_exactly(g, cfg)
     best = None  # (num, den, side frozenset, delta frozenset)
     for delta in _separator_candidates(n, k - 1, cfg.separator_budget):
         dset = frozenset(delta)
         rest = [v for v in range(n) if v not in dset]
         if len(rest) < 2:
             continue
-        if cfg.mode == "exact":
+        if exact:
             found = _scan_masks(_mask_tables(g, demands), rest,
                                 sum(1 << v for v in delta), kind)
         else:

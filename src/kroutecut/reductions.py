@@ -116,14 +116,15 @@ def ec_to_vc(inst: Instance) -> tuple[Instance, ReductionMap]:
     if inst.flavor is not Flavor.EDGE:
         raise ValueError("ec_to_vc needs an edge-connectivity instance")
     g = inst.graph
+    incidence = g.incidence
     for v in inst.demands.terminals:
-        if g.degree(v) == 0:
+        if not incidence[v]:
             raise IsolatedTerminal(f"terminal {v} has degree 0")
 
     node_of: dict[tuple[int, int], int] = {}
     counter = 0
     for v in range(g.vertex_count):
-        for eid in g.incidence[v]:
+        for eid in incidence[v]:
             node_of[(v, eid)] = counter
             counter += 1
 
@@ -133,14 +134,13 @@ def ec_to_vc(inst: Instance) -> tuple[Instance, ReductionMap]:
     for eid, e in enumerate(g.edges):
         image_edges.append((node_of[(e.u, eid)], node_of[(e.v, eid)], e.w))
     for v in range(g.vertex_count):
-        inc = g.incidence[v]
-        for a, b in itertools.combinations(inc, 2):
+        for a, b in itertools.combinations(incidence[v], 2):
             image_edges.append((node_of[(v, a)], node_of[(v, b)], INF))
 
     rep = [None] * g.vertex_count
     for v in range(g.vertex_count):
-        if g.degree(v) > 0:
-            rep[v] = node_of[(v, min(g.incidence[v]))]
+        if incidence[v]:
+            rep[v] = node_of[(v, min(incidence[v]))]
     pairs = [(rep[s], rep[t]) for s, t in inst.demands.pairs]
     image = Instance(Graph(counter, image_edges), DemandSet(pairs), inst.k,
                      Flavor.VERTEX)

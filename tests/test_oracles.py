@@ -787,3 +787,118 @@ def test_saturated_tie_prefers_side_across_no_inf_edge():
         (frozenset({0}), INF, frozenset({2}))
     assert _k_route_by_free_sets(g, DemandSet([(0, 1)]), 2, kind) == \
         (frozenset({0}), INF, 1, frozenset({2}))
+
+
+def _answer(oracle, *args, **kwargs):
+    """An oracle's SparseCut, or the class of the KrcError it raises."""
+    try:
+        return oracle(*args, **kwargs)
+    except KrcError as exc:
+        return type(exc)
+
+
+def test_sweep_scans_exactly_up_to_ten_vertices():
+    # On graphs of at most SWEEP_EXACT_MAX vertices sweep mode takes exact
+    # mode's scan: every field and every error agree. Tight budgets are
+    # checked ahead of that split, so both modes refuse the same inputs.
+    rng = random.Random(173)
+    weights = (0, 0, 1, 2, 3, 5, 2**62 - 1, 2**62, INF)
+    seen = set()
+    for trial in range(500):
+        n = rng.randint(2, oracles.SWEEP_EXACT_MAX)
+        edges = [(*rng.sample(range(n), 2), rng.choice(weights))
+                 for _ in range(rng.randint(0, 2 * n))]
+        edges += [e for e in edges if rng.random() < 0.2]  # parallel copies
+        g = Graph(n, edges)
+        d = DemandSet(random_pairs(rng, n, rng.randint(1, 4)))
+        excl = frozenset(i for i in range(g.edge_count) if rng.random() < 0.2)
+        k = rng.randint(1, 4)
+        budgets = dict(free_set_budget=rng.choice((200_000, 200_000, 12)),
+                       separator_budget=rng.choice((200_000, 200_000, 20)))
+        exact = OracleConfig(**budgets)
+        sweep = OracleConfig(mode="sweep", seed=trial, **budgets)
+        fsize = min(k - 1, g.edge_count)
+        over_free = math.comb(g.edge_count, fsize) > budgets["free_set_budget"]
+        over_sep = (sum(math.comb(n, j) for j in range(k))
+                    > budgets["separator_budget"])
+        for kind in CutKind:
+            for oracle, args, kwargs in (
+                    (sparsest_cut, (g, d, kind), {}),
+                    (sparsest_cut, (g, d, kind), {"exclude_edges": excl}),
+                    (k_route_sparsest_cut, (g, d, k, kind), {}),
+                    (vertex_k_route_sparsest_cut, (g, d, k, kind), {})):
+                want = _answer(oracle, *args, exact, **kwargs)
+                assert _answer(oracle, *args, sweep, **kwargs) == want, trial
+                seen.add(want if isinstance(want, type) else type(want))
+                if oracle is k_route_sparsest_cut:
+                    assert (want is FreeSetBlowup) == over_free, trial
+                if oracle is vertex_k_route_sparsest_cut:
+                    assert (want is SeparatorBlowup) == over_sep, trial
+    assert {FreeSetBlowup, SeparatorBlowup} < seen
+
+
+def test_sweep_runs_only_above_ten_vertices(monkeypatch):
+    # At n = SWEEP_EXACT_MAX no oracle sweeps; one vertex more, and each
+    # sweeps once per call, once per free set and once per separator of G.
+    assert oracles.SWEEP_EXACT_MAX == 10
+    calls = []
+    sweep_best = oracles._sweep_prefix_best
+    monkeypatch.setattr(oracles, "_sweep_prefix_best",
+                        lambda *a: calls.append(a) or sweep_best(*a))
+    kind = CutKind.NONUNIFORM
+    for n in (10, 11):
+        g = Graph(n, [(v, (v + 1) % n, 1 + v % 3) for v in range(n)]
+                  + [(0, n // 2, 2)])
+        d = DemandSet([(0, n // 2), (1, n - 1)])
+        for oracle, args, sweeps in (
+                (sparsest_cut, (g, d, kind, SWEEP), 1),
+                (k_route_sparsest_cut, (g, d, 2, kind, SWEEP), g.edge_count),
+                (vertex_k_route_sparsest_cut, (g, d, 2, kind, SWEEP), 1 + n)):
+            calls.clear()
+            oracle(*args)
+            assert len(calls) == (sweeps if n == 11 else 0), (oracle, n)
+
+
+def test_sweep_above_ten_vertices_never_beats_exact():
+    # The sweep still answers above SWEEP_EXACT_MAX: its cuts are sound and
+    # never sparser than exact mode's.
+    rng = random.Random(179)
+    for _ in range(6):
+        n = rng.randint(11, 12)
+        g = random_graph(rng, n, rng.randint(n, 2 * n), inf_prob=0.05)
+        d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
+        for kind in CutKind:
+            for oracle, args in ((sparsest_cut, (g, d, kind)),
+                                 (k_route_sparsest_cut, (g, d, 2, kind)),
+                                 (vertex_k_route_sparsest_cut,
+                                  (g, d, 2, kind))):
+                sw = oracle(*args, SWEEP)
+                assert sw.sparsity >= oracle(*args, EXACT).sparsity
+            outside = frozenset(range(n)) - sw.side - sw.separator
+            assert sw.residual_weight == wsum(
+                e.w for e in g.edges if (e.u in sw.side and e.v in outside)
+                or (e.v in sw.side and e.u in outside))
+
+
+def test_bicriteria_waives_inf_edges_and_never_pays_them():
+    # INF edges are clipped like finite ones, so a multicut may cut them;
+    # the free set takes them first, and a finite residual pays none. A
+    # 2^62 edge at k = 3 clips to at most INF, never above it.
+    rng = random.Random(181)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(2, 6), rng.randint(2, 8),
+                         inf_prob=0.3)
+        d = DemandSet(random_pairs(rng, g.vertex_count, rng.randint(1, 3)))
+        for cfg in (EXACT, SWEEP):
+            try:
+                cut = k_route_sparsest_cut_bicriteria(g, d, 2, cfg)
+            except NoCandidateCut:
+                continue
+            inf_cut = {i for i in g.cut_edges(cut.side) if g.weight(i) >= INF}
+            if cut.residual_weight < INF:
+                assert inf_cut <= cut.free_edges
+    g = Graph(3, [(0, 1, 2**62), (1, 2, 1), (0, 2, INF)])
+    for cfg in (EXACT, SWEEP):
+        cut = k_route_sparsest_cut_bicriteria(g, DemandSet([(0, 2)]), 3, cfg)
+        assert (cut.side, cut.residual_weight, cut.free_edges) == \
+            ({0}, 0, {0, 2})

@@ -12,11 +12,16 @@ from kroutecut import (DemandSet, Flavor, Graph, Instance, OracleConfig,
                        SolverParams, is_feasible, num_vertex_disjoint_paths,
                        solve_ec, solve_ec_polytime, solve_st, solve_two_route,
                        solve_uniform_ec, solve_vc)
-from kroutecut.errors import Infeasible, NoFeasibleGuess, NonUniformWeights
-from kroutecut.exact import brute_force_opt
-from kroutecut.solvers import GRID_EPSILON
+from kroutecut.cli import build_report, gen_instance
+from kroutecut.errors import (Infeasible, KrcError, NoFeasibleGuess,
+                              NonUniformWeights)
+from kroutecut.exact import brute_force_opt, ratio_report
+from kroutecut.oracles import SWEEP_EXACT_MAX
+from kroutecut.reductions import ec_to_vc
+from kroutecut.solvers import GRID_EPSILON, SOLVERS
 
 from helpers import make_instance, random_instance
+from test_golden import CASES, SEEDS
 
 PARAMS = SolverParams()
 SWEEP_PARAMS = SolverParams(oracle=OracleConfig(mode="sweep", seed=3))
@@ -320,3 +325,65 @@ def test_self_check_raises_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "SelfCheckFailed"
+
+
+def _report(alg, inst, mode, seed):
+    params = SolverParams(oracle=OracleConfig(mode=mode, seed=seed))
+    try:
+        result = SOLVERS[alg](inst, params)
+    except KrcError as exc:
+        return type(exc).__name__
+    return build_report("", alg, inst, result, include_trace=True)
+
+
+def test_sweep_reports_equal_exact_up_to_ten_vertices():
+    # Sweep mode scans exactly on graphs of at most SWEEP_EXACT_MAX vertices,
+    # so there its reports are exact mode's, trace included.
+    compared = 0
+    for label, kind, params, algs, modes in CASES:
+        for alg in set(algs) & {"ec", "uniform-ec", "vc", "two-route"}:
+            for seed in SEEDS:
+                inst, _ = gen_instance(kind, dict(params), seed)
+                if inst.graph.vertex_count > SWEEP_EXACT_MAX:
+                    continue
+                assert _report(alg, inst, "sweep", seed) == \
+                    _report(alg, inst, "exact", seed), (alg, label, seed)
+                compared += 1
+    assert compared >= 57
+
+
+def test_ec_polytime_solves_planted_instances():
+    # INF edges may be waived but never paid, so the relaxed oracle finds
+    # the split between the planted cliques. cost_bound pins no ec-polytime
+    # bound, so the weight is checked against the optimum itself.
+    for seed in SEEDS:
+        inst, meta = gen_instance("planted", {"k": 2, "cheap_bridges": 2},
+                                  seed)
+        for mode in ("exact", "sweep"):
+            res = solve_ec_polytime(inst, SolverParams(
+                oracle=OracleConfig(mode=mode, seed=seed)))
+            assert is_feasible(inst, res.solution, res.guarantee)
+            rep = ratio_report(inst, "ec-polytime", res)
+            assert rep.within_bound is not False
+            assert rep.opt_weight == meta["opt"]
+            assert rep.solution_weight <= rep.opt_weight
+
+
+def test_solvers_cache_nothing_on_the_graph():
+    # A cache kept on a Graph lives as long as every instance a caller
+    # keeps. n = 11 is above SWEEP_EXACT_MAX, so sweep mode sweeps.
+    ec = make_instance(11, [(v, (v + 1) % 11, 1 + v % 4) for v in range(11)]
+                       + [(0, 5, 2), (3, 8, 3)], [(0, 5), (2, 9)], 2)
+    vc = Instance(ec.graph, ec.demands, 2, Flavor.VERTEX)
+    unit = make_instance(6, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1),
+                             (4, 5, 1), (5, 3, 1), (0, 3, 1)], [(0, 4)], 2)
+    st = make_instance(5, [(0, 1, 2), (1, 4, 3), (0, 2, 1), (2, 4, 2),
+                           (0, 3, 4), (3, 4, 1)], [(0, 4)], 3, Flavor.VERTEX)
+    runs = [("ec", ec), ("ec-polytime", ec), ("uniform-ec", unit), ("vc", vc),
+            ("two-route", vc), ("st", st)]
+    for alg, inst in runs:
+        for mode in ("exact", "sweep"):
+            _report(alg, inst, mode, 0)
+            assert vars(inst.graph).keys() == {"vertex_count", "edges"}, alg
+    ec_to_vc(ec)
+    assert vars(ec.graph).keys() == {"vertex_count", "edges"}
