@@ -723,11 +723,13 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
 
     Sweeps a grid of separated-pair targets and weight-clipping thresholds,
     solves a multicut for each, flips whole components to maximize separated
-    pairs, and waives the most expensive surviving cut edges. INF edges are
-    clipped like finite ones, so a multicut may cut them, but they are
+    pairs, and waives the most expensive surviving cut edges. If G has INF
+    edges, each threshold is tried twice: once with them uncuttable, and
+    once clipped like finite ones, so a multicut may cut them. They are
     waived first and never paid: a side that crosses more of them than it
-    waives scores INF. The realized free-set size is recorded so callers
-    learn the achieved route count.
+    waives scores INF, and the uncuttable clipping still offers a finite
+    side wherever the waivable one cuts too many. The realized free-set
+    size is recorded so callers learn the achieved route count.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -744,14 +746,16 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
     else:
         thresholds = [0]
 
-    max_sep = _count_separated(demands, _labels(
-        _adjacency(g), frozenset(range(g.edge_count))))
+    # INF edges stay uncuttable in the first clipping and are clipped like
+    # finite ones in the second, which only graphs with an INF edge need.
+    clip_inf = (False, True) if any(e.w >= INF for e in g.edges) else (False,)
 
     best = None  # (num, den, side, free tuple)
-    for r_target in range(1, min(demands.r, max_sep) + 1):
-        for thr in thresholds:
+    for r_target in range(1, demands.r + 1):
+        for thr, inf_too in itertools.product(thresholds, clip_inf):
             clipped = Graph(g.vertex_count,
-                            [(e.u, e.v, min(e.w * (k - 1), thr, INF))
+                            [(e.u, e.v, e.w if e.w >= INF and not inf_too
+                              else min(e.w * (k - 1), thr, INF))
                              for e in g.edges])
             try:
                 removed = l_multicut(clipped, demands, r_target, cfg)

@@ -22,6 +22,29 @@ from helpers import cut_weight, random_graph, random_instance, random_pairs
 
 EXACT = OracleConfig()
 SWEEP = OracleConfig(mode="sweep", seed=7)
+# Vertex counts on both sides of SWEEP_EXACT_MAX: sweep mode scans exactly
+# up to it and sweeps above it.
+SMALL_N, LARGE_N = (2, 7), (11, 12)
+
+
+def assert_cut_fields(g, d, cut, exclude=frozenset()):
+    """The cut's residual and denominator, recomputed from G and D."""
+    outside = frozenset(range(g.vertex_count)) - cut.side - cut.separator
+    assert cut.side and outside
+    crossing = {i for i, e in enumerate(g.edges)
+                if (e.u in cut.side and e.v in outside)
+                or (e.v in cut.side and e.u in outside)}
+    assert cut.free_edges <= crossing
+    assert cut.residual_weight == wsum(
+        g.weight(i) for i in crossing - cut.free_edges - exclude)
+    if cut.kind is CutKind.UNIFORM:
+        den = min(d.count_in(cut.side), d.count_in(outside))
+    else:
+        den = sum(1 for s, t in d.pairs
+                  if s not in cut.separator and t not in cut.separator
+                  and (s in cut.side) != (t in cut.side))
+    assert den == cut.denominator > 0
+    assert cut.sparsity == Fraction(cut.residual_weight, den)
 
 
 def test_gomory_hu_two_vertices():
@@ -137,13 +160,14 @@ def test_sparsest_cut_exact_cap():
 
 def test_sweep_never_beats_exact():
     rng = random.Random(33)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 7), rng.randint(1, 12))
+    for n_range in [SMALL_N] * 40 + [LARGE_N] * 12:
+        g = random_graph(rng, rng.randint(*n_range), rng.randint(1, 12))
         d = DemandSet(random_pairs(rng, g.vertex_count, rng.randint(1, 3)))
         for kind in (CutKind.UNIFORM, CutKind.NONUNIFORM):
             ex = sparsest_cut(g, d, kind, EXACT)
             sw = sparsest_cut(g, d, kind, SWEEP)
             assert sw.sparsity >= ex.sparsity
+            assert_cut_fields(g, d, sw)
 
 
 def test_k_route_equals_plain_for_k1():
@@ -429,31 +453,26 @@ def test_vertex_k_route_matches_brute_force():
 
 def test_sweep_vertex_oracle_valid_fields():
     rng = random.Random(61)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(3, 7), rng.randint(2, 10))
+    for n_range in [(3, 7)] * 15 + [LARGE_N] * 6:
+        g = random_graph(rng, rng.randint(*n_range), rng.randint(2, 10))
         d = DemandSet(random_pairs(rng, g.vertex_count, rng.randint(1, 3)))
         cut = vertex_k_route_sparsest_cut(g, d, 2, CutKind.NONUNIFORM, SWEEP)
-        outside = frozenset(range(g.vertex_count)) - cut.side - cut.separator
-        num = wsum(e.w for e in g.edges
-                   if (e.u in cut.side and e.v in outside)
-                   or (e.v in cut.side and e.u in outside))
-        assert num == cut.residual_weight
-        den = sum(1 for s, t in d.pairs
-                  if s not in cut.separator and t not in cut.separator
-                  and (s in cut.side) != (t in cut.side)
-                  and (s in cut.side or s in outside)
-                  and (t in cut.side or t in outside))
-        assert den == cut.denominator
+        assert len(cut.separator) <= 1
+        assert_cut_fields(g, d, cut)
 
 
 def test_oracle_determinism():
     rng = random.Random(67)
-    g = random_graph(rng, 7, 12)
-    d = DemandSet(random_pairs(rng, 7, 3))
-    a = sparsest_cut(g, d, CutKind.NONUNIFORM, SWEEP)
-    b = sparsest_cut(g, d, CutKind.NONUNIFORM,
-                     OracleConfig(mode="sweep", seed=7))
-    assert a == b
+    for n in (7, 12):
+        g = random_graph(rng, n, 2 * n)
+        d = DemandSet(random_pairs(rng, n, 3))
+        for oracle, args in (
+                (sparsest_cut, (g, d, CutKind.NONUNIFORM)),
+                (k_route_sparsest_cut, (g, d, 2, CutKind.NONUNIFORM)),
+                (vertex_k_route_sparsest_cut, (g, d, 2, CutKind.NONUNIFORM))):
+            a = oracle(*args, SWEEP)
+            b = oracle(*args, OracleConfig(mode="sweep", seed=7))
+            assert a == b
 
 
 def test_separator_budget():
@@ -482,17 +501,12 @@ def test_k_route_residual_recomputes():
 
 def test_sweep_vertex_oracle_uniform_kind_fields():
     rng = random.Random(149)
-    for _ in range(10):
-        g = random_graph(rng, rng.randint(3, 7), rng.randint(2, 10))
+    for n_range in [(3, 7)] * 10 + [LARGE_N] * 6:
+        g = random_graph(rng, rng.randint(*n_range), rng.randint(2, 10))
         d = DemandSet(random_pairs(rng, g.vertex_count, rng.randint(1, 3)))
         cut = vertex_k_route_sparsest_cut(g, d, 2, CutKind.UNIFORM, SWEEP)
-        outside = frozenset(range(g.vertex_count)) - cut.side - cut.separator
-        num = wsum(e.w for e in g.edges
-                   if (e.u in cut.side and e.v in outside)
-                   or (e.v in cut.side and e.u in outside))
-        assert num == cut.residual_weight
-        den = min(d.count_in(cut.side), d.count_in(outside))
-        assert den == cut.denominator > 0
+        assert len(cut.separator) <= 1
+        assert_cut_fields(g, d, cut)
 
 
 def _naive_tables(n, edges, d_of, pairs):
@@ -696,12 +710,20 @@ def test_vertex_exact_float_tie_resolved_exactly():
 
 def test_saturated_cut_reads_inf_in_both_modes():
     # Two parallel 2^62 edges weigh 2^63 > INF together, so their cut
-    # saturates to INF, as a cut across an INF edge does.
+    # saturates to INF, as a cut across an INF edge does. On the 11-vertex
+    # path of such bundles sweep mode sweeps, and every cut reads INF too.
     d = DemandSet([(0, 1)])
     for edges in ([(0, 1, 2**62), (0, 1, 2**62)], [(0, 1, 1), (1, 0, INF)]):
         for cfg in (EXACT, OracleConfig(mode="sweep")):
             cut = sparsest_cut(Graph(2, edges), d, CutKind.NONUNIFORM, cfg)
             assert (cut.side, cut.residual_weight) == (frozenset({0}), INF)
+    path = Graph(11, [(v, v + 1, 2**62) for v in range(10) for _ in "ab"])
+    d = DemandSet([(0, 10), (3, 7)])
+    for cfg in (EXACT, OracleConfig(mode="sweep")):
+        for kind in CutKind:
+            cut = sparsest_cut(path, d, kind, cfg)
+            assert cut.residual_weight == INF
+            assert_cut_fields(path, d, cut)
 
 
 def test_complement_tie_returns_side_without_last_vertex():
@@ -874,31 +896,59 @@ def test_sweep_above_ten_vertices_never_beats_exact():
                                   (g, d, 2, kind))):
                 sw = oracle(*args, SWEEP)
                 assert sw.sparsity >= oracle(*args, EXACT).sparsity
-            outside = frozenset(range(n)) - sw.side - sw.separator
-            assert sw.residual_weight == wsum(
-                e.w for e in g.edges if (e.u in sw.side and e.v in outside)
-                or (e.v in sw.side and e.u in outside))
+                assert len(sw.free_edges) + len(sw.separator) <= 1
+                assert_cut_fields(g, d, sw)
 
 
 def test_bicriteria_waives_inf_edges_and_never_pays_them():
     # INF edges are clipped like finite ones, so a multicut may cut them;
-    # the free set takes them first, and a finite residual pays none. A
-    # 2^62 edge at k = 3 clips to at most INF, never above it.
+    # the free set takes them first, and a finite residual pays none. If
+    # some pair is split by finite edges alone, a side across no INF edge
+    # exists and the residual is finite. A 2^62 edge at k = 3 clips to at
+    # most INF, never above it.
     rng = random.Random(181)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(2, 6), rng.randint(2, 8),
-                         inf_prob=0.3)
-        d = DemandSet(random_pairs(rng, g.vertex_count, rng.randint(1, 3)))
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        base = random_graph(rng, n, rng.randint(2, 4), wmax=2, inf_prob=0.4)
+        # Bundles of two or three INF edges cost less than some finite
+        # bundles at low thresholds, but k = 2 waives only two edges.
+        g = Graph(n, [e for e in base.edges
+                      for _ in range(rng.randint(1 + (e.w >= INF), 3))])
+        d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
+        inf_part = _labels_of(g.vertex_count,
+                              [e for e in g.edges if e.w >= INF])
+        finite_split = any(inf_part[s] != inf_part[t] for s, t in d.pairs)
         for cfg in (EXACT, SWEEP):
             try:
                 cut = k_route_sparsest_cut_bicriteria(g, d, 2, cfg)
             except NoCandidateCut:
+                assert not finite_split
                 continue
             inf_cut = {i for i in g.cut_edges(cut.side) if g.weight(i) >= INF}
-            if cut.residual_weight < INF:
-                assert inf_cut <= cut.free_edges
+            assert (cut.residual_weight < INF) == (inf_cut <= cut.free_edges)
+            if finite_split:
+                assert cut.residual_weight < INF
     g = Graph(3, [(0, 1, 2**62), (1, 2, 1), (0, 2, INF)])
     for cfg in (EXACT, SWEEP):
         cut = k_route_sparsest_cut_bicriteria(g, DemandSet([(0, 2)]), 3, cfg)
         assert (cut.side, cut.residual_weight, cut.free_edges) == \
             ({0}, 0, {0, 2})
+    # Five INF edges are cheaper than six unit ones at every threshold, but
+    # only four can be waived; the unit edges give the finite side.
+    g = Graph(3, [(0, 1, INF)] * 5 + [(1, 2, 1)] * 6)
+    for cfg in (EXACT, SWEEP):
+        cut = k_route_sparsest_cut_bicriteria(g, DemandSet([(0, 2)]), 3, cfg)
+        assert (cut.side, cut.residual_weight) == ({0, 1}, 2)
+
+
+def _labels_of(n, edges):
+    """Component label of each vertex in the graph on `edges`."""
+    label = list(range(n))
+
+    def root(v):
+        while label[v] != v:
+            v = label[v]
+        return v
+    for e in edges:
+        label[root(e.u)] = root(e.v)
+    return [root(v) for v in range(n)]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kroutecut
-from kroutecut import (DemandSet, Flavor, Graph, Instance, OracleConfig,
+from kroutecut import (INF, DemandSet, Flavor, Graph, Instance, OracleConfig,
                        SolverParams, is_feasible, num_vertex_disjoint_paths,
                        solve_ec, solve_ec_polytime, solve_st, solve_two_route,
                        solve_uniform_ec, solve_vc)
@@ -367,6 +367,19 @@ def test_ec_polytime_solves_planted_instances():
             assert rep.within_bound is not False
             assert rep.opt_weight == meta["opt"]
             assert rep.solution_weight <= rep.opt_weight
+
+
+def test_ec_polytime_cuts_finite_edges_where_inf_ones_are_cheaper():
+    # At k = 2 the oracle runs at k' = 3 and waives at most 4 edges. Clipped
+    # to any threshold, the 5 INF edges cost less than the 6 unit edges, so
+    # a multicut that may cut INF edges cuts them and pays one INF. The
+    # clipping that keeps INF edges uncuttable still offers the unit edges.
+    inst = make_instance(3, [(0, 1, INF)] * 5 + [(1, 2, 1)] * 6, [(0, 2)], 2)
+    for mode in ("exact", "sweep"):
+        res = solve_ec_polytime(inst, SolverParams(
+            oracle=OracleConfig(mode=mode)))
+        assert res.solution.total_weight == 2
+        assert is_feasible(inst, res.solution, res.guarantee)
 
 
 def test_solvers_cache_nothing_on_the_graph():
