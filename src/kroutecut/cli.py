@@ -408,10 +408,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.input, args.k)
-    sol_data = json.loads(Path(args.solution).read_text())
-    removed = frozenset(sol_data.get("removed_edges", []))
-    level = args.k or sol_data.get("guarantee_k", inst.k)
-    sol = CutSolution.from_edges(inst.graph, removed, level)
+    data = json.loads(Path(args.solution).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("solution file must hold a JSON object")
+    removed, level = data.get("removed_edges", []), data.get("guarantee_k", inst.k)
+    # JSON true and false load as bool, which Python counts as int.
+    if (type(removed) is not list or any(type(e) is not int for e in removed)
+            or type(level) is not int or level < 1):
+        raise ValueError("removed_edges must list ints, guarantee_k be >= 1")
+    level = args.k or level
+    sol = CutSolution.from_edges(inst.graph, frozenset(removed), level)
     ok = is_feasible(inst, sol, level)
     print("feasible" if ok else "infeasible")
     return 0 if ok else 1

@@ -76,16 +76,6 @@ class Graph:
     def total_finite_weight(self) -> int:
         return sum(e.w for e in self.edges if e.w < INF)
 
-    @property
-    def incidence(self) -> list[list[int]]:
-        """Edge ids incident to each vertex, built on each call: a cache
-        would live as long as every graph a caller keeps."""
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, e in enumerate(self.edges):
-            inc[e.u].append(i)
-            inc[e.v].append(i)
-        return inc
-
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
             raise InvalidVertex(f"vertex {v} out of range")

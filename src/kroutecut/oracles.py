@@ -3,7 +3,9 @@
 Sparsity values are exact rationals throughout; no floating point enters a
 comparison. Exact oracle modes enumerate subsets and are therefore the
 ground truth the solvers are tested against; sweep/greedy modes are seeded
-heuristics for larger graphs and carry no stated approximation factor.
+heuristics for larger graphs and carry no stated approximation factor. One
+mask scanner scores every sparse cut in both modes: sweep mode hands it the
+coarse graphs of a multilevel partitioner.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ class OracleConfig:
     """Configuration for the pluggable sparsest-cut backends.
 
     mode "exact" enumerates every vertex subset (factor 1) and refuses graphs
-    above exact_vertex_cap; mode "sweep" orders vertices by iterative
-    neighbor averaging from seeded random starts and takes the best prefix
-    cut. On graphs of at most SWEEP_EXACT_MAX vertices sweep mode scans
-    exactly too, so there both modes give the same answers. Enumeration
+    above exact_vertex_cap; mode "sweep" does the same up to SWEEP_EXACT_MAX
+    vertices and above it scans the unions of groups of sweep_restarts
+    seeded coarsenings, then refines by single-vertex moves. Enumeration
     budgets are hard errors, never silent truncation.
     """
 
@@ -202,9 +203,8 @@ def laminar_min_cut_family(g: Graph, demands: DemandSet) -> LaminarMinCutFamily:
 
 
 # ---------------------------------------------------------------------------
-# Sparse-cut scanning. Both backends pick a side of a graph whose vertices
-# carry demand counts d_of (summing to d_total) and whose split pairs count
-# for the non-uniform denominator; the best side comes back as a bit mask.
+# Sparse-cut scanning: `_scan_masks` picks the best side, as a bit mask, of a
+# graph whose vertices carry terminal counts and whose pairs split.
 
 
 def _cut_table(n: int, weighted_edges) -> list[int]:
@@ -237,26 +237,29 @@ def _demand_counts(g: Graph, demands: DemandSet) -> list[int]:
     return [pv.get(v, 0) for v in range(g.vertex_count)]
 
 
+def _tables(n: int, edges, d_of: list[int], pairs):
+    """(big, cut, d_in, cross) per vertex subset of the graph on (u, v, w)
+    `edges` with terminal counts `d_of` and `pairs`; `cut` weighs each INF
+    edge as big, the finite total plus one, so it reaches big iff crossed."""
+    big = sum(w for _, _, w in edges if w < INF) + 1
+    cut = _cut_table(n, [(u, v, big if w >= INF else w) for u, v, w in edges])
+    d_in = [0]
+    for d in d_of:
+        d_in += [x + d for x in d_in]
+    return big, cut, d_in, _cut_table(n, [(s, t, 1) for s, t in pairs])
+
+
 @lru_cache(maxsize=1)
 def _mask_tables(g: Graph, demands: DemandSet):
-    """(big, cut, d_in, cross) per vertex subset, for the exact oracles;
-    one set is kept. `cut` weighs each INF edge as big, the finite total
-    plus one, so a side crosses an INF edge iff its cut reaches big. `d_in`
-    counts the terminals inside and `cross` the demand pairs split."""
-    n = g.vertex_count
-    big = g.total_finite_weight() + 1
-    cut = _cut_table(n, [(u, v, big if w >= INF else w)
-                         for u, v, w in g.edges])
-    d_in = [0]
-    for d in _demand_counts(g, demands):
-        d_in += [x + d for x in d_in]
-    cross = _cut_table(n, [(s, t, 1) for s, t in demands.pairs])
-    return big, cut, d_in, cross
+    """G's `_tables`, for the exact scans; one set is kept. Coarse and
+    G - D tables are built uncached, so they never evict it."""
+    return _tables(g.vertex_count, g.edges, _demand_counts(g, demands),
+                   demands.pairs)
 
 
-def _heaviest_first(g: Graph, edge_ids) -> list[int]:
-    """Edge ids by weight, heaviest (INF) first, then by id."""
-    return sorted(edge_ids, key=lambda i: (-g.edges[i].w, i))
+def _heaviest_first(edges) -> list[int]:
+    """Ids of `edges`, (u, v, w) tuples, heaviest (INF) first, then by id."""
+    return sorted(range(len(edges)), key=lambda i: (-edges[i][2], i))
 
 
 def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
@@ -264,7 +267,7 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
     """Least-sparsity proper side of G - D as (numerator, denominator,
     mask), or None if no side has a positive denominator.
 
-    `tables` are G's `_mask_tables`, D is the vertex mask `dm` and `rest`
+    `tables` are G's `_tables`, D is the vertex mask `dm` and `rest`
     the other vertices ascending; bit i of a mask is vertex rest[i]. A side
     and its complement in G - D have the same cut, denominator, waived edges
     and tie key, and the first mask of the pair lacks rest[-1], so only the
@@ -349,95 +352,114 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
     return nums[best], dens[best], best
 
 
-# Neighbor-averaging rounds per sweep ordering.
-SWEEP_ROUNDS = 8
-# Sweep mode scans graphs of at most this many vertices exactly: their tables
-# hold at most 2^10 entries, so one scan costs less than one sweep per free
-# set, and the answer is never worse than the sweep's.
+# Sweep mode scans graphs of at most this many vertices exactly and coarsens
+# larger ones to this many groups, so no scan reads over 2^9 sides.
 SWEEP_EXACT_MAX = 10
+SEPARATOR_POOL = 8  # boundary vertices from which sweep mode draws separators
 
 
 def _scans_exactly(g: Graph, cfg: OracleConfig) -> bool:
     return cfg.mode == "exact" or g.vertex_count <= SWEEP_EXACT_MAX
 
 
-def _sweep_orderings(g: Graph, cfg: OracleConfig,
-                     exclude: frozenset[int]) -> list[tuple[int, ...]]:
-    n = g.vertex_count
-    max_fin = max((e.w for e in g.edges if e.w < INF), default=1)
-    glue = max(2 * max_fin, 1)
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, e in enumerate(g.edges):
-        if i in exclude:
-            continue
-        w = glue if e.w >= INF else e.w
-        nbrs[e.u].append((e.v, w))
-        nbrs[e.v].append((e.u, w))
-    tots = [sum(w for _, w in nb) for nb in nbrs]
+def _coarsen(n: int, edges, pairs, rng: random.Random) -> list[int]:
+    """Group of each vertex, 0 to SWEEP_EXACT_MAX - 1, by seeded heavy-edge
+    matchings (Karypis and Kumar 1998): each level visits the groups in
+    random order and merges each unmerged one with the unmerged neighbour
+    it shares the most weight with, or with any group if none has a
+    neighbour, capped so that the last level lands on SWEEP_EXACT_MAX.
+    Groups holding a pair's ends merge only if nothing else can, one merge
+    per level and never the first pair's, so some side splits that pair.
+    """
+    group = list(range(n))
+    count = n
+    while count > SWEEP_EXACT_MAX:
+        apart = {frozenset((group[s], group[t])) for s, t in pairs}
+        share: list[dict[int, int]] = [{} for _ in range(count)]
+        for u, v, w in edges:
+            a, b = group[u], group[v]
+            if a != b and frozenset((a, b)) not in apart:
+                share[a][b] = share[b][a] = share[a].get(b, 0) + w
+        if not any(share):  # no neighbours: any two groups merge at weight 0
+            share = [{b: 0 for b in range(count) if b != a
+                      and frozenset((a, b)) not in apart} for a in range(count)]
+        mate = list(range(count))
+        merges = count - SWEEP_EXACT_MAX
+        visit = list(range(count))
+        rng.shuffle(visit)
+        for a in visit:
+            near = [(w, -b) for b, w in share[a].items() if mate[b] == b]
+            if merges and mate[a] == a and near:
+                b = -max(near)[1]
+                mate[a], mate[b] = b, a
+                merges -= 1
+        if merges == count - SWEEP_EXACT_MAX:  # forced: any but the first pair
+            a, b = min(map(frozenset, itertools.combinations(range(count), 2)),
+                       key=frozenset(group[v] for v in pairs[0]).__eq__)
+            mate[a], mate[b] = b, a
+        roots = sorted({min(a, mate[a]) for a in range(count)})
+        count = len(roots)
+        group = [roots.index(min(c, mate[c])) for c in group]
+    return group
+
+
+def _coarse_scan(n: int, edges, d_of: list[int], pairs, kind: CutKind,
+                 waive: int, cfg: OracleConfig):
+    """Sparse (numerator, denominator, mask) of a graph above
+    SWEEP_EXACT_MAX vertices, given as `_tables` takes it, or None.
+
+    Each of cfg.sweep_restarts coarsenings (INF edges weigh the finite
+    total plus one, so they merge first) keeps every edge between groups,
+    so `_scan_masks` scores a union of groups, waiving its `waive` heaviest
+    cut edges, as the graph does. Its best union is lifted and refined by
+    single-vertex moves (Fiduccia and Mattheyses 1982), each taken iff the
+    side stays proper and the waived, saturated residual over a positive
+    denominator strictly falls, as integer products, until a pass makes no
+    move. Ties: first restart.
+    """
+    big = sum(w for _, _, w in edges if w < INF) + 1
+    order = _heaviest_first(edges)
+    heavy = [(u, v, big if w >= INF else w)
+             for u, v, w in map(edges.__getitem__, order)]
+    d_total = sum(d_of)
+
+    def score(mask):
+        res = sum([c for u, v, c in heavy
+                   if ((mask >> u) ^ (mask >> v)) & 1][waive:])
+        res = res if res < min(big, INF) else INF
+        if kind is CutKind.NONUNIFORM:
+            return res, sum(((mask >> s) ^ (mask >> t)) & 1 for s, t in pairs)
+        d = sum(d for v, d in enumerate(d_of) if (mask >> v) & 1)
+        return res, min(d, d_total - d)
+
     rng = random.Random(cfg.seed)
-    seen = set()
-    orderings = []
-    for _ in range(max(1, cfg.sweep_restarts)):
-        x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        for _ in range(SWEEP_ROUNDS):
-            nxt = []
-            for v in range(n):
-                tot = tots[v]
-                if tot > 0:
-                    avg = sum(w * x[u] for u, w in nbrs[v]) / tot
-                    nxt.append(0.5 * x[v] + 0.5 * avg)
-                else:
-                    nxt.append(x[v])
-            mean = sum(nxt) / n
-            nxt = [val - mean for val in nxt]
-            scale = max(abs(val) for val in nxt)
-            x = [val / scale for val in nxt] if scale > 0 else nxt
-        order = tuple(sorted(range(n), key=lambda v: (x[v], v)))
-        if order not in seen:
-            seen.add(order)
-            orderings.append(order)
-    return orderings
-
-
-def _sweep_prefix_best(g: Graph, d_of: list[int], d_total: int, pairs,
-                       kind: CutKind, cfg: OracleConfig,
-                       exclude: frozenset[int]):
-    """Best (numerator, denominator, mask) over the prefixes of the
-    neighbor-averaging orderings, excluded edges deleted; exact arithmetic.
-    The cut weighs INF edges as big, as `_mask_tables` does."""
-    n = g.vertex_count
-    big = g.total_finite_weight() + 1
-    lim = min(big, INF)
-    incidence = g.incidence
     best = None
-    for order in _sweep_orderings(g, cfg, exclude):
-        in_side = [False] * n
-        mask = cut = d_in = crossing = 0
-        for pos in range(n - 1):
-            v = order[pos]
-            in_side[v] = True
-            mask |= 1 << v
-            d_in += d_of[v]
-            for ei in incidence[v]:
-                if ei in exclude:
-                    continue
-                e = g.edges[ei]
-                other = e.v if e.u == v else e.u
-                w = big if e.w >= INF else e.w
-                cut += -w if in_side[other] else w
-            for s, t in pairs:
-                if s == v or t == v:
-                    other = t if s == v else s
-                    crossing += -1 if in_side[other] else 1
-            if kind is CutKind.UNIFORM:
-                den = min(d_in, d_total - d_in)
-            else:
-                den = crossing
-            if den == 0:
-                continue
-            num = cut if cut < lim else INF
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den, mask)
+    for _ in range(max(1, cfg.sweep_restarts)):
+        group = _coarsen(n, heavy, pairs, rng)
+        counts = [sum(d for v, d in enumerate(d_of) if group[v] == c)
+                  for c in range(SWEEP_EXACT_MAX)]
+        ranked = [(group[u], group[v], w) for u, v, w in
+                  map(edges.__getitem__, order) if group[u] != group[v]]
+        found = _scan_masks(
+            _tables(SWEEP_EXACT_MAX, ranked, counts,
+                    [(group[s], group[t]) for s, t in pairs
+                     if group[s] != group[t]]),
+            range(SWEEP_EXACT_MAX), 0, kind, ranked, waive)
+        if found is None:
+            continue
+        num, den, mask = found
+        mask = sum(1 << v for v in range(n) if (mask >> group[v]) & 1)
+        moved = True
+        while moved:
+            moved = False
+            for v in range(n):
+                new = mask ^ (1 << v)
+                if new and new != (1 << n) - 1:
+                    res, dn = score(new)
+                    if dn > 0 and res * den < num * dn:
+                        num, den, mask, moved = res, dn, new, True
+        if best is None or num * best[1] < best[0] * den:
+            best = num, den, mask
     return best
 
 
@@ -452,30 +474,9 @@ def _side(mask: int, vertices) -> frozenset[int]:
 
 
 def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
-                 cfg: OracleConfig,
-                 exclude_edges: frozenset[int] = frozenset()) -> SparseCut:
-    """Minimum-sparsity cut for the given kind (exact or sweep backend)."""
-    if demands.r < 1:
-        raise ValueError("need at least one demand pair")
-    _check_exact_cap(g.vertex_count, cfg)
-    if _scans_exactly(g, cfg):
-        # Excluded edges are waived from every cut weight, which is the same
-        # as deleting them and keeps the cached tables valid.
-        ranked = [tuple(g.edges[e])
-                  for e in _heaviest_first(g, exclude_edges)]
-        best = _scan_masks(_mask_tables(g, demands), range(g.vertex_count),
-                           0, kind, ranked, len(ranked))
-    else:
-        best = _sweep_prefix_best(g, _demand_counts(g, demands),
-                                  2 * demands.r, demands.pairs, kind, cfg,
-                                  exclude_edges)
-    if best is None:
-        raise NoCandidateCut("no cut with positive denominator")
-    num, den, mask = best
-    side = _side(mask, range(g.vertex_count))
-    return SparseCut(side=side, kind=kind, residual_weight=num, denominator=den,
-                     sparsity=Fraction(num, den),
-                     free_edges=frozenset(exclude_edges) & set(g.cut_edges(side)))
+                 cfg: OracleConfig) -> SparseCut:
+    """Minimum-sparsity cut for the given kind: the k-route cut at k = 1."""
+    return _route_cut(g, demands, 0, kind, cfg)
 
 
 def _first_free_set(g: Graph, order: list[int], size: int, mask: int,
@@ -509,6 +510,33 @@ def _first_free_set(g: Graph, order: list[int], size: int, mask: int,
     return tuple(sorted(free))
 
 
+def _route_cut(g: Graph, demands: DemandSet, fsize: int, kind: CutKind,
+               cfg: OracleConfig) -> SparseCut:
+    """Least-sparsity side of G with its `fsize` heaviest cut edges waived,
+    by an exact pass or, in sweep mode above SWEEP_EXACT_MAX, a coarse scan."""
+    if demands.r < 1:
+        raise ValueError("need at least one demand pair")
+    n = g.vertex_count
+    _check_exact_cap(n, cfg)
+    order = _heaviest_first(g.edges)
+    if _scans_exactly(g, cfg):
+        best = _scan_masks(
+            _mask_tables(g, demands), range(n), 0, kind,
+            [g.edges[i] for i in order], fsize,
+            lambda mask, num: _first_free_set(g, order, fsize, mask, num))
+    else:
+        best = _coarse_scan(n, g.edges, _demand_counts(g, demands),
+                            demands.pairs, kind, fsize, cfg)
+    if best is None:
+        raise NoCandidateCut("no cut with positive denominator")
+    num, den, mask = best
+    side = _side(mask, range(n))
+    free = _first_free_set(g, order, fsize, mask, num)
+    return SparseCut(side=side, kind=kind, residual_weight=num,
+                     denominator=den, sparsity=Fraction(num, den),
+                     free_edges=frozenset(free) & set(g.cut_edges(side)))
+
+
 def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
                          cfg: OracleConfig) -> SparseCut:
     """Minimizer of residual sparsity with k-1 edges waived.
@@ -519,12 +547,9 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     k-route sparsest cut. Among optimal (free set, side) pairs it prefers
     one whose residual crosses no INF edge, then returns the first free set
     in `itertools.combinations` order, then the first side, which lacks
-    vertex n-1. Sweep mode makes the same pass on graphs of at most
-    SWEEP_EXACT_MAX vertices, and on larger ones runs the plain sweep once
-    per free set of size k-1 with that set deleted. The free-set budget is
-    checked in both modes and at every size, so that both refuse the same
-    inputs; the exact pass does not enumerate free sets, and the check can
-    go once sweep mode stops doing so too.
+    vertex n-1. Sweep mode does the same up to SWEEP_EXACT_MAX vertices and
+    waives alike in `_coarse_scan` above. No mode enumerates free sets, yet
+    both check the free-set budget, to refuse the inputs they always have.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -533,35 +558,7 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     if count > cfg.free_set_budget:
         raise FreeSetBlowup(
             f"{count} free sets exceed budget {cfg.free_set_budget}")
-    if _scans_exactly(g, cfg):
-        if demands.r < 1:
-            raise ValueError("need at least one demand pair")
-        _check_exact_cap(g.vertex_count, cfg)
-        order = _heaviest_first(g, range(g.edge_count))
-        best = _scan_masks(
-            _mask_tables(g, demands), range(g.vertex_count), 0, kind,
-            [tuple(g.edges[i]) for i in order], fsize,
-            lambda mask, num: _first_free_set(g, order, fsize, mask, num))
-        if best is None:
-            raise NoCandidateCut("no candidate cut for any free set")
-        num, den, mask = best
-        side = _side(mask, range(g.vertex_count))
-        free = _first_free_set(g, order, fsize, mask, num)
-        return SparseCut(side=side, kind=kind, residual_weight=num,
-                         denominator=den, sparsity=Fraction(num, den),
-                         free_edges=frozenset(free) & set(g.cut_edges(side)))
-    best = None
-    for free in itertools.combinations(range(g.edge_count), fsize):
-        try:
-            cut = sparsest_cut(g, demands, kind, cfg, exclude_edges=frozenset(free))
-        except NoCandidateCut:
-            continue
-        if best is None or (cut.residual_weight * best.denominator
-                            < best.residual_weight * cut.denominator):
-            best = cut
-    if best is None:
-        raise NoCandidateCut("no candidate cut for any free set")
-    return best
+    return _route_cut(g, demands, fsize, kind, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +610,11 @@ def _greedy_multicut(g: Graph, demands: DemandSet, ell: int) -> frozenset[int]:
             if label[s] != label[t]:
                 continue
             value, side = min_weight_edge_st_cut(g, s, t, exclude=frozenset(removed))
-            if value >= INF:
-                continue
             if best is None or value < best[0]:
-                best = (value, i, g.cut_edges(side, exclude=frozenset(removed)))
+                # A saturated value may still be a cut of finite edges.
+                cut = g.cut_edges(side, exclude=frozenset(removed))
+                if all(g.edges[e].w < INF for e in cut):
+                    best = (value, i, cut)
         if best is None:
             raise Infeasible(f"cannot separate {ell} pairs with finite edges")
         removed.update(best[2])
@@ -766,8 +764,6 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
             side = frozenset(v for ci, comp in enumerate(comps)
                              if flags[ci] for v in comp)
             cut_ids = g.cut_edges(side)
-            if not cut_ids and not side:
-                continue
             den = sum(1 for s, t in demands.pairs
                       if (s in side) != (t in side))
             if den == 0:
@@ -790,14 +786,6 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
 # Vertex-flavored k-route sparsest cuts.
 
 
-def _separator_candidates(n: int, max_size: int, budget: int):
-    count = sum(math.comb(n, j) for j in range(max_size + 1))
-    if count > budget:
-        raise SeparatorBlowup(f"{count} separators exceed budget {budget}")
-    for size in range(max_size + 1):
-        yield from itertools.combinations(range(n), size)
-
-
 def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
                                 kind: CutKind, cfg: OracleConfig) -> SparseCut:
     """Minimizer over (side S, separator D) with |D| <= k-1 of the sparsity
@@ -805,10 +793,11 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
 
     Pairs with an endpoint inside the separator never count toward the
     split-pair denominator; terminal-count denominators keep full counts.
-    Exact mode reads each G - D from G's tables, and so does sweep mode if
-    G has at most SWEEP_EXACT_MAX vertices; larger graphs in sweep mode
-    sweep each G - D. Ties: first D; within one D, a side across no INF
-    edge, then the first S.
+    Exact mode, and sweep mode up to SWEEP_EXACT_MAX vertices, read each
+    G - D from G's tables. Above it, sweep mode draws D from the
+    SEPARATOR_POOL vertices of most crossing weight on the plain coarse cut,
+    and scans G - D on its own tables, coarsened if still above the bound.
+    Ties: first D; within one D, a side across no INF edge, then first S.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -816,30 +805,41 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
         raise ValueError("need at least one demand pair")
     n = g.vertex_count
     _check_exact_cap(n, cfg)
+    count = sum(math.comb(n, j) for j in range(k))
+    if count > cfg.separator_budget:
+        raise SeparatorBlowup(f"{count} separators exceed budget {cfg.separator_budget}")
     exact = _scans_exactly(g, cfg)
+    pool = range(n)
     best = None  # (num, den, side frozenset, delta frozenset)
-    for delta in _separator_candidates(n, k - 1, cfg.separator_budget):
-        dset = frozenset(delta)
-        rest = [v for v in range(n) if v not in dset]
-        if len(rest) < 2:
-            continue
-        if exact:
-            found = _scan_masks(_mask_tables(g, demands), rest,
-                                sum(1 << v for v in delta), kind)
-        else:
-            pos = {v: i for i, v in enumerate(rest)}
-            sub = Graph(len(rest), [(pos[e.u], pos[e.v], e.w) for e in g.edges
-                                    if e.u not in dset and e.v not in dset])
-            pairs = [(pos[s], pos[t]) for s, t in demands.pairs
-                     if s not in dset and t not in dset]
-            d_of = [demands.per_vertex.get(v, 0) for v in rest]
-            found = _sweep_prefix_best(sub, d_of, sum(d_of), pairs, kind, cfg,
-                                       frozenset())
-        if found is None:
-            continue
-        num, den, mask = found
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den, _side(mask, rest), dset)
+    for size in range(k):
+        for delta in itertools.combinations(pool, size):
+            rest = [v for v in range(n) if v not in delta]
+            if len(rest) < 2:
+                continue
+            if exact:
+                found = _scan_masks(_mask_tables(g, demands), rest,
+                                    sum(1 << v for v in delta), kind)
+            else:
+                pos = {v: i for i, v in enumerate(rest)}
+                sub = (len(rest), [(pos[u], pos[v], w) for u, v, w in g.edges
+                                   if u in pos and v in pos],
+                       [demands.per_vertex.get(v, 0) for v in rest],
+                       [(pos[s], pos[t]) for s, t in demands.pairs
+                        if s in pos and t in pos])
+                found = (_scan_masks(_tables(*sub), range(len(rest)), 0, kind)
+                         if len(rest) <= SWEEP_EXACT_MAX else
+                         _coarse_scan(*sub, kind, 0, cfg))
+            if found is None:
+                continue
+            num, den, mask = found
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den, _side(mask, rest), frozenset(delta))
+        if size == 0 and not exact:  # best is the plain coarse cut of G
+            cut = [e for e in g.edges if (e.u in best[2]) != (e.v in best[2])]
+            weight = {x: sum(e.w for e in cut if x in e[:2])
+                      for e in cut for x in e[:2]}
+            pool = sorted(sorted(weight, key=lambda x: (-weight[x], x))
+                          [:SEPARATOR_POOL])
     if best is None:
         raise NoCandidateCut("no (side, separator) pair with positive denominator")
     num, den, side, dset = best

@@ -116,7 +116,10 @@ def ec_to_vc(inst: Instance) -> tuple[Instance, ReductionMap]:
     if inst.flavor is not Flavor.EDGE:
         raise ValueError("ec_to_vc needs an edge-connectivity instance")
     g = inst.graph
-    incidence = g.incidence
+    incidence: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for eid, e in enumerate(g.edges):
+        incidence[e.u].append(eid)
+        incidence[e.v].append(eid)
     for v in inst.demands.terminals:
         if not incidence[v]:
             raise IsolatedTerminal(f"terminal {v} has degree 0")

@@ -247,6 +247,18 @@ def test_cli_verify_rejects_edge_ids_out_of_range(tmp_path):
                     "--solution", str(sol)]) == 2
 
 
+def test_cli_verify_rejects_malformed_solution_files(tmp_path):
+    inst_file = tmp_path / "p.krc"
+    inst_file.write_text(PATH_TEXT)
+    sol = tmp_path / "sol.json"
+    for data in ({"removed_edges": ["a"]}, {"removed_edges": [0.5]},
+                 {"removed_edges": 3}, {"removed_edges": [[0]]},
+                 {"removed_edges": [True]}, {"guarantee_k": "x"}, [1, 2]):
+        sol.write_text(json.dumps(data))
+        assert run(["verify", "--input", str(inst_file),
+                    "--solution", str(sol)]) == 2, data
+
+
 def test_cli_gen_writes_sidecar(tmp_path):
     out = tmp_path / "plant.krc"
     assert run(["gen", "--kind", "planted", "--k", "2", "--out", str(out),

@@ -23,11 +23,11 @@ from helpers import cut_weight, random_graph, random_instance, random_pairs
 EXACT = OracleConfig()
 SWEEP = OracleConfig(mode="sweep", seed=7)
 # Vertex counts on both sides of SWEEP_EXACT_MAX: sweep mode scans exactly
-# up to it and sweeps above it.
+# up to it and coarsens above it.
 SMALL_N, LARGE_N = (2, 7), (11, 12)
 
 
-def assert_cut_fields(g, d, cut, exclude=frozenset()):
+def assert_cut_fields(g, d, cut):
     """The cut's residual and denominator, recomputed from G and D."""
     outside = frozenset(range(g.vertex_count)) - cut.side - cut.separator
     assert cut.side and outside
@@ -36,7 +36,7 @@ def assert_cut_fields(g, d, cut, exclude=frozenset()):
                 or (e.v in cut.side and e.u in outside)}
     assert cut.free_edges <= crossing
     assert cut.residual_weight == wsum(
-        g.weight(i) for i in crossing - cut.free_edges - exclude)
+        g.weight(i) for i in crossing - cut.free_edges)
     if cut.kind is CutKind.UNIFORM:
         den = min(d.count_in(cut.side), d.count_in(outside))
     else:
@@ -86,6 +86,26 @@ def test_gomory_hu_flow_and_cut_property():
             assert (a in side) != (b in side)
             assert cut_weight(g, side) == cap
             assert cap == min_weight_edge_st_cut(g, a, b)[0]
+
+
+def test_gomory_hu_matches_networkx():
+    # An independent max-flow: networkx on the simple graph whose edge
+    # capacities are the sums of each vertex pair's parallel edges.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.randint(0, 20), wmin=0, wmax=9,
+                         inf_prob=0.05)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        for u, v, w in g.edges:
+            old = h.get_edge_data(u, v, {"capacity": 0})["capacity"]
+            h.add_edge(u, v, capacity=old + w)
+        tree = gomory_hu(g)
+        for u, v in itertools.combinations(range(n), 2):
+            assert tree.min_cut_value(u, v) == \
+                min(nx.minimum_cut_value(h, u, v), INF)
 
 
 def test_laminar_single_pair():
@@ -598,26 +618,6 @@ def test_k_route_exact_matches_free_set_loop():
                     got.free_edges) == want
 
 
-def test_exact_excluded_edges_match_deleted_edges():
-    # Excluded edges are waived from every side; the reference deletes them
-    # and scans G - F's naive tables with first-mask strict improvement.
-    rng = random.Random(167)
-    weights = (0, 1, 2, 3, 2**62 - 1, 2**62, INF)
-    for _ in range(1000):
-        n = rng.randint(2, 6)
-        g = Graph(n, [(*rng.sample(range(n), 2), rng.choice(weights))
-                      for _ in range(rng.randint(0, 8))])
-        d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
-        excl = frozenset(i for i in range(g.edge_count) if rng.random() < 0.3)
-        for kind in (CutKind.UNIFORM, CutKind.NONUNIFORM):
-            side, num, den, _ = _k_route_by_free_sets(
-                g.without_edges(excl)[0], d, 1, kind)
-            got = sparsest_cut(g, d, kind, EXACT, exclude_edges=excl)
-            assert (got.side, got.residual_weight, got.denominator,
-                    got.free_edges) == \
-                (side, num, den, excl & set(g.cut_edges(side)))
-
-
 def _vertex_by_separators(g, d, k, kind, cfg):
     """Exact vertex k-route sparsest cut the long way: for each separator D,
     G - D relabelled and its naive tables, one scan with strict improvement
@@ -711,7 +711,7 @@ def test_vertex_exact_float_tie_resolved_exactly():
 def test_saturated_cut_reads_inf_in_both_modes():
     # Two parallel 2^62 edges weigh 2^63 > INF together, so their cut
     # saturates to INF, as a cut across an INF edge does. On the 11-vertex
-    # path of such bundles sweep mode sweeps, and every cut reads INF too.
+    # path of such bundles sweep mode coarsens, and every cut reads INF too.
     d = DemandSet([(0, 1)])
     for edges in ([(0, 1, 2**62), (0, 1, 2**62)], [(0, 1, 1), (1, 0, INF)]):
         for cfg in (EXACT, OracleConfig(mode="sweep")):
@@ -811,10 +811,10 @@ def test_saturated_tie_prefers_side_across_no_inf_edge():
         (frozenset({0}), INF, 1, frozenset({2}))
 
 
-def _answer(oracle, *args, **kwargs):
+def _answer(oracle, *args):
     """An oracle's SparseCut, or the class of the KrcError it raises."""
     try:
-        return oracle(*args, **kwargs)
+        return oracle(*args)
     except KrcError as exc:
         return type(exc)
 
@@ -833,7 +833,6 @@ def test_sweep_scans_exactly_up_to_ten_vertices():
         edges += [e for e in edges if rng.random() < 0.2]  # parallel copies
         g = Graph(n, edges)
         d = DemandSet(random_pairs(rng, n, rng.randint(1, 4)))
-        excl = frozenset(i for i in range(g.edge_count) if rng.random() < 0.2)
         k = rng.randint(1, 4)
         budgets = dict(free_set_budget=rng.choice((200_000, 200_000, 12)),
                        separator_budget=rng.choice((200_000, 200_000, 20)))
@@ -844,13 +843,12 @@ def test_sweep_scans_exactly_up_to_ten_vertices():
         over_sep = (sum(math.comb(n, j) for j in range(k))
                     > budgets["separator_budget"])
         for kind in CutKind:
-            for oracle, args, kwargs in (
-                    (sparsest_cut, (g, d, kind), {}),
-                    (sparsest_cut, (g, d, kind), {"exclude_edges": excl}),
-                    (k_route_sparsest_cut, (g, d, k, kind), {}),
-                    (vertex_k_route_sparsest_cut, (g, d, k, kind), {})):
-                want = _answer(oracle, *args, exact, **kwargs)
-                assert _answer(oracle, *args, sweep, **kwargs) == want, trial
+            for oracle, args in (
+                    (sparsest_cut, (g, d, kind)),
+                    (k_route_sparsest_cut, (g, d, k, kind)),
+                    (vertex_k_route_sparsest_cut, (g, d, k, kind))):
+                want = _answer(oracle, *args, exact)
+                assert _answer(oracle, *args, sweep) == want, trial
                 seen.add(want if isinstance(want, type) else type(want))
                 if oracle is k_route_sparsest_cut:
                     assert (want is FreeSetBlowup) == over_free, trial
@@ -860,43 +858,128 @@ def test_sweep_scans_exactly_up_to_ten_vertices():
 
 
 def test_sweep_runs_only_above_ten_vertices(monkeypatch):
-    # At n = SWEEP_EXACT_MAX no oracle sweeps; one vertex more, and each
-    # sweeps once per call, once per free set and once per separator of G.
+    # At n = SWEEP_EXACT_MAX no oracle coarsens. One vertex more, and each
+    # coarse-scans G once per call, not once per free set; each G - D then
+    # has ten vertices and is scanned exactly. Two more, and each G - D of
+    # a separator from the pool is coarse-scanned too.
     assert oracles.SWEEP_EXACT_MAX == 10
     calls = []
-    sweep_best = oracles._sweep_prefix_best
-    monkeypatch.setattr(oracles, "_sweep_prefix_best",
-                        lambda *a: calls.append(a) or sweep_best(*a))
+    coarse_scan = oracles._coarse_scan
+    monkeypatch.setattr(oracles, "_coarse_scan",
+                        lambda *a: calls.append(a) or coarse_scan(*a))
     kind = CutKind.NONUNIFORM
-    for n in (10, 11):
+    for n in (10, 11, 12):
         g = Graph(n, [(v, (v + 1) % n, 1 + v % 3) for v in range(n)]
                   + [(0, n // 2, 2)])
         d = DemandSet([(0, n // 2), (1, n - 1)])
-        for oracle, args, sweeps in (
-                (sparsest_cut, (g, d, kind, SWEEP), 1),
-                (k_route_sparsest_cut, (g, d, 2, kind, SWEEP), g.edge_count),
-                (vertex_k_route_sparsest_cut, (g, d, 2, kind, SWEEP), 1 + n)):
+        for oracle, args in ((sparsest_cut, (g, d, kind, SWEEP)),
+                             (k_route_sparsest_cut, (g, d, 2, kind, SWEEP))):
             calls.clear()
             oracle(*args)
-            assert len(calls) == (sweeps if n == 11 else 0), (oracle, n)
+            assert len(calls) == (n > 10), (oracle, n)
+        calls.clear()
+        vertex_k_route_sparsest_cut(g, d, 2, kind, SWEEP)
+        if n < 12:
+            assert len(calls) == (n > 10)
+        else:
+            assert 1 < len(calls) <= 1 + oracles.SEPARATOR_POOL
+            assert all(a[0] == n - 1 for a in calls[1:])
+
+
+def _mixed_graph(rng, n):
+    """Seeded multigraph with zero, small, 2^62 and INF weights and parallel
+    copies of some edges."""
+    weights = (0, 1, 2, 3, 5, 2**62 - 1, 2**62, INF)
+    edges = [(*rng.sample(range(n), 2), rng.choice(weights))
+             for _ in range(rng.randint(n, 3 * n))]
+    return Graph(n, edges + [e for e in edges if rng.random() < 0.3])
+
+
+def test_coarsening_keeps_pair_ends_apart():
+    # Fewer than C(11, 2) = 55 pairs leave some merge of two of 11 or more
+    # groups that joins no pair's ends, so no pair is ever joined. Short
+    # edge lists leave groups with no neighbour, which merge at weight 0.
+    rng = random.Random(191)
+    for trial in range(300):
+        n = rng.randint(11, 16)
+        edges = _mixed_graph(rng, n).edges
+        edges = edges[:rng.choice((len(edges), rng.randint(0, n)))]
+        pairs = random_pairs(rng, n, rng.randint(1, 12))
+        group = oracles._coarsen(n, edges, pairs, random.Random(trial))
+        assert sorted(set(group)) == list(range(oracles.SWEEP_EXACT_MAX))
+        assert all(group[s] != group[t] for s, t in pairs), trial
+
+
+def test_sweep_splits_first_pair_when_every_merge_joins_a_pair(monkeypatch):
+    # Pairs join every two of the 12 vertices (r = 66), so reaching ten
+    # groups joins some pair's ends, but never the first pair's: each
+    # oracle still returns a side of positive denominator, and no scan
+    # reads more than 2^(10 - 1) sides.
+    rng = random.Random(193)
+    d = DemandSet(itertools.combinations(range(12), 2))
+    assert d.r == 66
+    sides = []
+    scan = oracles._scan_masks
+    monkeypatch.setattr(oracles, "_scan_masks", lambda tables, rest, dm, *a: (
+        sides.append(1 << len(rest) - 1 if dm else len(tables[1]) >> 1)
+        or scan(tables, rest, dm, *a)))
+    for trial in range(4):
+        g = _mixed_graph(rng, 12)
+        group = oracles._coarsen(12, g.edges, d.pairs, random.Random(trial))
+        assert group[0] != group[1]
+        cfg = OracleConfig(mode="sweep", seed=trial)
+        for kind in CutKind:
+            for cut in (sparsest_cut(g, d, kind, cfg),
+                        k_route_sparsest_cut(g, d, 3, kind, cfg),
+                        vertex_k_route_sparsest_cut(g, d, 2, kind, cfg)):
+                assert_cut_fields(g, d, cut)
+    assert sides and max(sides) <= 1 << 9
+
+
+def test_sweep_separator_comes_from_the_pool():
+    # Above SWEEP_EXACT_MAX the vertex oracle tries only separators drawn
+    # from the SEPARATOR_POOL boundary vertices of the plain coarse cut,
+    # which is the sweep-mode sparsest cut, with the most crossing weight.
+    rng = random.Random(197)
+    truncated = separated = 0
+    for trial in range(12):
+        n = rng.randint(14, 24)
+        g = random_graph(rng, n, 3 * n)
+        d = DemandSet(random_pairs(rng, n, 4))
+        cfg = OracleConfig(mode="sweep", seed=trial)
+        for kind in CutKind:
+            plain = sparsest_cut(g, d, kind, cfg).side
+            weight = {}
+            for u, v, w in g.edges:
+                if (u in plain) != (v in plain):
+                    weight[u] = weight.get(u, 0) + w
+                    weight[v] = weight.get(v, 0) + w
+            pool = sorted(weight, key=lambda v: (-weight[v], v))[:8]
+            truncated += len(weight) > len(pool)
+            cut = vertex_k_route_sparsest_cut(g, d, 3, kind, cfg)
+            assert cut.separator <= set(pool), trial
+            separated += bool(cut.separator)
+            assert_cut_fields(g, d, cut)
+    assert truncated and separated
 
 
 def test_sweep_above_ten_vertices_never_beats_exact():
-    # The sweep still answers above SWEEP_EXACT_MAX: its cuts are sound and
+    # Above SWEEP_EXACT_MAX sweep mode coarsens: its cuts are sound and
     # never sparser than exact mode's.
     rng = random.Random(179)
-    for _ in range(6):
-        n = rng.randint(11, 12)
-        g = random_graph(rng, n, rng.randint(n, 2 * n), inf_prob=0.05)
-        d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
+    for _ in range(12):
+        n = rng.randint(11, 16)
+        g = _mixed_graph(rng, n)
+        d = DemandSet(random_pairs(rng, n, rng.randint(1, 4)))
         for kind in CutKind:
-            for oracle, args in ((sparsest_cut, (g, d, kind)),
-                                 (k_route_sparsest_cut, (g, d, 2, kind)),
-                                 (vertex_k_route_sparsest_cut,
-                                  (g, d, 2, kind))):
+            for oracle, args, waived in (
+                    (sparsest_cut, (g, d, kind), 0),
+                    (k_route_sparsest_cut, (g, d, 2, kind), 1),
+                    (k_route_sparsest_cut, (g, d, 3, kind), 2),
+                    (vertex_k_route_sparsest_cut, (g, d, 2, kind), 1)):
                 sw = oracle(*args, SWEEP)
                 assert sw.sparsity >= oracle(*args, EXACT).sparsity
-                assert len(sw.free_edges) + len(sw.separator) <= 1
+                assert len(sw.free_edges) + len(sw.separator) <= waived
                 assert_cut_fields(g, d, sw)
 
 
@@ -933,6 +1016,12 @@ def test_bicriteria_waives_inf_edges_and_never_pays_them():
         cut = k_route_sparsest_cut_bicriteria(g, DemandSet([(0, 2)]), 3, cfg)
         assert (cut.side, cut.residual_weight, cut.free_edges) == \
             ({0}, 0, {0, 2})
+    # Two 2^62 edges clip to a cut of value 2^63, which saturates to INF but
+    # crosses no INF edge, so the multicut still takes it.
+    g = Graph(3, [(0, 1, 2**62), (1, 2, 2**62), (0, 2, INF)])
+    for cfg in (EXACT, SWEEP):
+        cut = k_route_sparsest_cut_bicriteria(g, DemandSet([(0, 2)]), 3, cfg)
+        assert (cut.side, cut.residual_weight, cut.denominator) == ({0}, 0, 1)
     # Five INF edges are cheaper than six unit ones at every threshold, but
     # only four can be waived; the unit edges give the finite side.
     g = Graph(3, [(0, 1, INF)] * 5 + [(1, 2, 1)] * 6)

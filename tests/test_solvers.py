@@ -384,7 +384,7 @@ def test_ec_polytime_cuts_finite_edges_where_inf_ones_are_cheaper():
 
 def test_solvers_cache_nothing_on_the_graph():
     # A cache kept on a Graph lives as long as every instance a caller
-    # keeps. n = 11 is above SWEEP_EXACT_MAX, so sweep mode sweeps.
+    # keeps. n = 11 is above SWEEP_EXACT_MAX, so sweep mode coarsens.
     ec = make_instance(11, [(v, (v + 1) % 11, 1 + v % 4) for v in range(11)]
                        + [(0, 5, 2), (3, 8, 3)], [(0, 5), (2, 9)], 2)
     vc = Instance(ec.graph, ec.demands, 2, Flavor.VERTEX)
