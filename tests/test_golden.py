@@ -1,9 +1,11 @@
 """Pinned solver reports across code changes.
 
 Every solver runs on small seeded random, planted and grid instances, in
-each oracle mode it uses, and the sha256 of its full report (trace included)
-is compared with `data/golden_reports.json`; a run that raises a KrcError
-pins the error's class name instead. A refactor must leave every entry
+each oracle mode it uses, and its report is compared with
+`data/golden_reports.json` as "<weight> <guarantee_k> <sha256>", the hash
+taken over the full report (trace included), so a diff of the file shows
+each changed key's weight and guarantee; a run that raises a KrcError pins
+the error's class name instead. A refactor must leave every entry
 unchanged. Regenerate the file only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -71,8 +73,9 @@ def outcome(key, kind, params, seed, alg, mode) -> str:
     except KrcError as exc:
         return type(exc).__name__
     report = build_report(key, alg, inst, result, include_trace=True)
-    return hashlib.sha256(
+    digest = hashlib.sha256(
         json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return f"{report['weight']} {report['guarantee_k']} {digest}"
 
 
 def outcomes(only_alg=None) -> dict[str, str]:
