@@ -315,6 +315,14 @@ def write_report(payload: dict, path: str | Path) -> None:
 # Command-line front end.
 
 
+def fraction(text: str) -> Fraction:
+    """A rational option value; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="krc",
                                   description="multi-route cut toolkit")
@@ -327,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--ratio", action="store_true",
                        help="include the brute-force optimum and ratio")
     solve.add_argument("--trace", action="store_true")
-    solve.add_argument("--delta", default="0")
-    solve.add_argument("--c", default="1")
+    solve.add_argument("--delta", type=fraction, default="0")
+    solve.add_argument("--c", type=fraction, default="1")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--report", default=None)
     solve.add_argument("--oracle", choices=["exact", "sweep"], default="exact")
@@ -359,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--input", required=True)
     reduce_p.add_argument("--out", required=True)
     reduce_p.add_argument("--opt-guess", type=int, default=None)
-    reduce_p.add_argument("--alpha", default=None)
+    reduce_p.add_argument("--alpha", type=fraction, default=None)
     reduce_p.add_argument("--kappa", type=int, default=None)
 
     gen = sub.add_parser("gen", help="generate an instance file")
@@ -376,8 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _params_from_args(args) -> SolverParams:
     return SolverParams(
         oracle=OracleConfig(mode=args.oracle, seed=args.seed),
-        delta=Fraction(args.delta),
-        c=Fraction(args.c),
+        delta=args.delta,
+        c=args.c,
     )
 
 
@@ -479,7 +487,7 @@ def _cmd_reduce(args) -> int:
         if args.alpha is None:
             raise ValueError("ssve needs --alpha")
         bip = parse_bipartite(Path(args.input).read_text())
-        image = ssve_to_st_vc_krc(bip, Fraction(args.alpha))
+        image = ssve_to_st_vc_krc(bip, args.alpha)
         out.write_text(render_instance(image))
     elif args.what == "tensor":
         bip = parse_bipartite(Path(args.input).read_text())

@@ -149,6 +149,8 @@ def brute_force_sparsest(g: Graph, demands: DemandSet, k: int,
                          flavor: Flavor = Flavor.EDGE,
                          kind: CutKind = CutKind.NONUNIFORM) -> SparseCut:
     """Exhaustive minimization over (side, free edges) or (side, separator)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n = g.vertex_count
     if n > BRUTE_VERTEX_CAP:
         raise CapExceeded(f"{n} vertices exceeds cap {BRUTE_VERTEX_CAP}")

@@ -5,7 +5,8 @@ comparison. Exact oracle modes enumerate subsets and are therefore the
 ground truth the solvers are tested against; sweep/greedy modes are seeded
 heuristics for larger graphs and carry no stated approximation factor. One
 mask scanner scores every sparse cut in both modes: sweep mode hands it the
-coarse graphs of a multilevel partitioner.
+coarse graphs of a multilevel partitioner. A k-route edge cut waives its
+side's k-1 heaviest cut edges, and those are the free edges it reports.
 """
 
 from __future__ import annotations
@@ -263,15 +264,15 @@ def _heaviest_first(edges) -> list[int]:
 
 
 def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
-                waive: int = 0, tie_key=None):
+                waive: int = 0):
     """Least-sparsity proper side of G - D as (numerator, denominator,
     mask), or None if no side has a positive denominator.
 
     `tables` are G's `_tables`, D is the vertex mask `dm` and `rest`
     the other vertices ascending; bit i of a mask is vertex rest[i]. A side
-    and its complement in G - D have the same cut, denominator, waived edges
-    and tie key, and the first mask of the pair lacks rest[-1], so only the
-    sides without rest[-1] are scanned. With D empty they are the lower
+    and its complement in G - D have the same cut, denominator and waived
+    edges, and the first mask of the pair lacks rest[-1], so only the sides
+    without rest[-1] are scanned. With D empty they are the lower
     half of G's tables. Otherwise they are the subsets S of rest[:-1], and
     each table c gives G - D's as c(S) less the sum over v in S of
     (c(v) + c(D) - c(v | D)) / 2, the weight between v and D. The uniform
@@ -288,9 +289,8 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
     division rounds correctly, and rounding is monotone, so the exact
     minimum has the least float. A tie in sparsity goes to a side whose cut
     is below big, one that crosses no INF edge, over one that is not; then
-    to the smaller `tie_key(mask, numerator)` if one is given, else to the
-    first mask. The winner keeps its own numerator and denominator, since
-    0/2 ties 0/1.
+    to the first mask. The winner keeps its own numerator and denominator,
+    since 0/2 ties 0/1.
     """
     big, cut, d_in, cross = tables
     lim = min(big, INF)
@@ -335,20 +335,13 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
     low = min(quots)
     ties = itertools.compress(sides, map(low.__eq__, quots))
     best = next(ties)
-    best_key = None
     for i in ties:
         lhs = nums[i] * dens[best]
         rhs = nums[best] * dens[i]
         if lhs == rhs:  # a side that crosses no INF edge wins
             lhs, rhs = cut[i] >= big, cut[best] >= big
         if lhs < rhs:
-            best, best_key = i, None
-        elif lhs == rhs and tie_key is not None:
-            if best_key is None:
-                best_key = tie_key(best, nums[best])
-            key = tie_key(i, nums[i])
-            if key < best_key:
-                best, best_key = i, key
+            best = i
     return nums[best], dens[best], best
 
 
@@ -479,51 +472,20 @@ def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
     return _route_cut(g, demands, 0, kind, cfg)
 
 
-def _first_free_set(g: Graph, order: list[int], size: int, mask: int,
-                    num: int) -> tuple[int, ...]:
-    """First free set of `size` edges, in `itertools.combinations` order,
-    that leaves side `mask` its least residual weight `num`, across no INF
-    edge if one can.
-
-    A free set is optimal iff it holds the `size` largest savings, where an
-    edge saves its weight if it crosses the side and nothing if not. The
-    first such set takes the crossing edges of positive weight in `order`
-    (ids heaviest first) up to `size`, then the smallest other ids. An INF
-    residual is left by every free set: the first set that waives every INF
-    edge the side crosses wins, or the first of all if none can.
-    """
-    # A saturated side counts only its INF cut edges, and size + 1 of them
-    # show that no free set waives them all.
-    saturated = num >= INF
-    free = []
-    for i in order:
-        u, v, w = g.edges[i]
-        if len(free) == size + saturated or w == 0 or (saturated and w < INF):
-            break
-        if ((mask >> u) ^ (mask >> v)) & 1:
-            free.append(i)
-    if len(free) > size:
-        return tuple(range(size))
-    taken = set(free)
-    rest = (i for i in range(g.edge_count) if i not in taken)
-    free += itertools.islice(rest, size - len(free))
-    return tuple(sorted(free))
-
-
 def _route_cut(g: Graph, demands: DemandSet, fsize: int, kind: CutKind,
                cfg: OracleConfig) -> SparseCut:
     """Least-sparsity side of G with its `fsize` heaviest cut edges waived,
-    by an exact pass or, in sweep mode above SWEEP_EXACT_MAX, a coarse scan."""
+    by an exact pass or, in sweep mode above SWEEP_EXACT_MAX, a coarse scan.
+    Those edges, the side's first `fsize` cut edges by (-w, id), are its
+    free edges."""
     if demands.r < 1:
         raise ValueError("need at least one demand pair")
     n = g.vertex_count
     _check_exact_cap(n, cfg)
     order = _heaviest_first(g.edges)
     if _scans_exactly(g, cfg):
-        best = _scan_masks(
-            _mask_tables(g, demands), range(n), 0, kind,
-            [g.edges[i] for i in order], fsize,
-            lambda mask, num: _first_free_set(g, order, fsize, mask, num))
+        best = _scan_masks(_mask_tables(g, demands), range(n), 0, kind,
+                           [g.edges[i] for i in order], fsize)
     else:
         best = _coarse_scan(n, g.edges, _demand_counts(g, demands),
                             demands.pairs, kind, fsize, cfg)
@@ -531,10 +493,11 @@ def _route_cut(g: Graph, demands: DemandSet, fsize: int, kind: CutKind,
         raise NoCandidateCut("no cut with positive denominator")
     num, den, mask = best
     side = _side(mask, range(n))
-    free = _first_free_set(g, order, fsize, mask, num)
+    cut = set(g.cut_edges(side))
+    free = [i for i in order if i in cut][:fsize]
     return SparseCut(side=side, kind=kind, residual_weight=num,
                      denominator=den, sparsity=Fraction(num, den),
-                     free_edges=frozenset(free) & set(g.cut_edges(side)))
+                     free_edges=frozenset(free))
 
 
 def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
@@ -542,14 +505,14 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     """Minimizer of residual sparsity with k-1 edges waived.
 
     For a fixed side the best k-1 edges to waive are its k-1 heaviest cut
-    edges, so exact mode makes one pass with those waived over the sides
-    that leave out vertex n-1, one of each complement pair: the true
-    k-route sparsest cut. Among optimal (free set, side) pairs it prefers
-    one whose residual crosses no INF edge, then returns the first free set
-    in `itertools.combinations` order, then the first side, which lacks
-    vertex n-1. Sweep mode does the same up to SWEEP_EXACT_MAX vertices and
-    waives alike in `_coarse_scan` above. No mode enumerates free sets, yet
-    both check the free-set budget, to refuse the inputs they always have.
+    edges, by (-w, id), and those are the cut's free edges. Exact mode makes
+    one pass with them waived over the sides that leave out vertex n-1, one
+    of each complement pair: the true k-route sparsest cut. Among optimal
+    sides it prefers one whose residual crosses no INF edge, then the first,
+    which lacks vertex n-1. Sweep mode does the same up to SWEEP_EXACT_MAX
+    vertices and waives alike in `_coarse_scan` above. No mode enumerates
+    free sets, yet both check the free-set budget, to refuse the inputs
+    they always have.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -798,6 +761,9 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
     SEPARATOR_POOL vertices of most crossing weight on the plain coarse cut,
     and scans G - D on its own tables, coarsened if still above the bound.
     Ties: first D; within one D, a side across no INF edge, then first S.
+    The separator budget bounds the separators that are enumerated, so it
+    is checked only where the scan is exact; sweep mode above
+    SWEEP_EXACT_MAX tries at most 2^SEPARATOR_POOL of them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -805,10 +771,10 @@ def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
         raise ValueError("need at least one demand pair")
     n = g.vertex_count
     _check_exact_cap(n, cfg)
-    count = sum(math.comb(n, j) for j in range(k))
-    if count > cfg.separator_budget:
-        raise SeparatorBlowup(f"{count} separators exceed budget {cfg.separator_budget}")
     exact = _scans_exactly(g, cfg)
+    count = sum(math.comb(n, j) for j in range(k))
+    if exact and count > cfg.separator_budget:
+        raise SeparatorBlowup(f"{count} separators exceed budget {cfg.separator_budget}")
     pool = range(n)
     best = None  # (num, den, side frozenset, delta frozenset)
     for size in range(k):

@@ -165,6 +165,8 @@ def vc_weighted_to_uniform(inst: Instance, opt_guess: int) -> tuple[Instance, Re
     """
     if inst.flavor is not Flavor.VERTEX:
         raise ValueError("vc_weighted_to_uniform needs a vertex instance")
+    if opt_guess < 0:
+        raise ValueError("optimum guess must be non-negative")
     if opt_guess == 0 and inst.demands.r > 0:
         raise GuessZero("optimum guess 0 with a nonempty demand set")
     g = inst.graph

@@ -190,10 +190,9 @@ def solve_ec(inst: Instance, params: SolverParams) -> SolveResult:
     def step(g, dem):
         cut = k_route_sparsest_cut(g, dem, threshold, CutKind.NONUNIFORM,
                                    params.oracle)
-        cut_ids = sorted(g.cut_edges(cut.side), key=lambda i: (-g.edges[i].w, i))
-        return cut_ids[threshold - 1:], {
+        return sorted(set(g.cut_edges(cut.side)) - cut.free_edges), {
             "cut_side": sorted(cut.side),
-            "free_edges": cut_ids[:threshold - 1],
+            "free_edges": cut.free_edges,
             "sparsity": str(cut.sparsity),
         }, threshold
 

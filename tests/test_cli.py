@@ -305,3 +305,35 @@ def test_cli_oracle_sparsest_report(tmp_path):
     assert json.loads(out.read_text()) == {
         "instance": str(inst_file), "route": 2, "kind": "uniform",
         "sparsity": "0", "side": [0]}
+
+
+def test_cli_oracle_sparsest_rejects_route_below_one(tmp_path):
+    ec_file = tmp_path / "p.krc"
+    ec_file.write_text(PATH_TEXT)
+    vc_file = tmp_path / "v.krc"
+    vc_file.write_text("p krc vc 3 2 1 2\ne 0 1 1\ne 1 2 1\nd 0 2\n")
+    for inst_file in (ec_file, vc_file):
+        for route in ("0", "-1"):
+            assert run(["oracle", "sparsest", "--input", str(inst_file),
+                        "--route", route]) == 2
+
+
+def test_cli_rejects_zero_denominators(tmp_path):
+    inst_file = tmp_path / "p.krc"
+    inst_file.write_text(PATH_TEXT)
+    bip_file = tmp_path / "g.bip"
+    bip_file.write_text("p bip 2 2 2\ne 0 0\ne 1 1\n")
+    solve = ["solve", "--alg", "ec", "--input", str(inst_file)]
+    for argv in (solve + ["--delta", "1/0"], solve + ["--c", "1/0"],
+                 ["reduce", "ssve", "--input", str(bip_file), "--alpha", "1/0",
+                  "--out", str(tmp_path / "ssve.krc")]):
+        assert run(argv) == 2, argv
+
+
+def test_cli_uniformize_rejects_negative_guess(tmp_path):
+    vc_file = tmp_path / "v.krc"
+    vc_file.write_text("p krc vc 3 2 1 2\ne 0 1 1\ne 1 2 1\nd 0 2\n")
+    out = tmp_path / "uni.krc"
+    assert run(["reduce", "uniformize", "--input", str(vc_file),
+                "--opt-guess", "-3", "--out", str(out)]) == 2
+    assert not out.exists()

@@ -27,14 +27,16 @@ SWEEP = OracleConfig(mode="sweep", seed=7)
 SMALL_N, LARGE_N = (2, 7), (11, 12)
 
 
-def assert_cut_fields(g, d, cut):
-    """The cut's residual and denominator, recomputed from G and D."""
+def assert_cut_fields(g, d, cut, waive=0):
+    """The cut's free edges, residual and denominator, recomputed from G and
+    D: the free edges are the first `waive` cut edges by (-w, id)."""
     outside = frozenset(range(g.vertex_count)) - cut.side - cut.separator
     assert cut.side and outside
     crossing = {i for i, e in enumerate(g.edges)
                 if (e.u in cut.side and e.v in outside)
                 or (e.v in cut.side and e.u in outside)}
-    assert cut.free_edges <= crossing
+    ranked = sorted(crossing, key=lambda i: (-g.weight(i), i))
+    assert cut.free_edges == frozenset(ranked[:waive])
     assert cut.residual_weight == wsum(
         g.weight(i) for i in crossing - cut.free_edges)
     if cut.kind is CutKind.UNIFORM:
@@ -229,6 +231,8 @@ def test_k_route_matches_brute_force():
             got = k_route_sparsest_cut(g, d, k, kind, EXACT)
             want = brute_force_sparsest(g, d, k, Flavor.EDGE, kind)
             assert got.sparsity == want.sparsity
+            if got.side == want.side:  # one free-set rule in both
+                assert got.free_edges == want.free_edges
 
 
 def test_free_set_budget():
@@ -496,12 +500,23 @@ def test_oracle_determinism():
 
 
 def test_separator_budget():
-    from kroutecut.errors import SeparatorBlowup
     g = Graph(8, [(0, 1, 1)])
     tight = OracleConfig(separator_budget=4)
     with pytest.raises(SeparatorBlowup):
         vertex_k_route_sparsest_cut(g, DemandSet([(0, 1)]), 3,
                                     CutKind.NONUNIFORM, tight)
+    # At n = 12, k = 3 there are 1 + 12 + 66 = 79 separators of size below
+    # k. Exact mode enumerates them all and refuses; sweep mode tries only
+    # subsets of its pool, so the budget does not apply to it.
+    g = Graph(12, [(v, (v + 1) % 12, 1) for v in range(12)])
+    d = DemandSet([(0, 6)])
+    with pytest.raises(SeparatorBlowup):
+        vertex_k_route_sparsest_cut(g, d, 3, CutKind.NONUNIFORM,
+                                    OracleConfig(separator_budget=50))
+    cut = vertex_k_route_sparsest_cut(
+        g, d, 3, CutKind.NONUNIFORM,
+        OracleConfig(mode="sweep", separator_budget=50))
+    assert_cut_fields(g, d, cut)
 
 
 def test_k_route_residual_recomputes():
@@ -510,13 +525,9 @@ def test_k_route_residual_recomputes():
         g = random_graph(rng, rng.randint(2, 6), rng.randint(1, 9))
         d = DemandSet(random_pairs(rng, g.vertex_count, rng.randint(1, 3)))
         k = rng.randint(1, 3)
-        cut = k_route_sparsest_cut(g, d, k, CutKind.NONUNIFORM, EXACT)
-        assert len(cut.free_edges) <= k - 1
-        cut_ids = set(g.cut_edges(cut.side))
-        assert cut.free_edges <= cut_ids
-        assert wsum(g.weight(e) for e in cut_ids - cut.free_edges) == \
-            cut.residual_weight
-        assert cut.sparsity == Fraction(cut.residual_weight, cut.denominator)
+        for cfg in (EXACT, SWEEP):
+            cut = k_route_sparsest_cut(g, d, k, CutKind.NONUNIFORM, cfg)
+            assert_cut_fields(g, d, cut, k - 1)
 
 
 def test_sweep_vertex_oracle_uniform_kind_fields():
@@ -543,23 +554,24 @@ def _naive_tables(n, edges, d_of, pairs):
 
 
 def _k_route_by_free_sets(g, d, k, kind):
-    """Exact k-route sparsest cut the long way: one scan over every side per
-    free set of size k-1, in combinations order, strict improvement only.
-    Among equal sparsities a residual across no INF edge improves on one
-    across an INF edge."""
+    """Exact k-route sparsest cut the long way: every side in mask order,
+    each with every free set of size k-1, strict improvement only, so ties
+    go to the first mask. Among equal sparsities a residual across no INF
+    edge improves on one across an INF edge. Returns (side, residual,
+    denominator)."""
     n = g.vertex_count
     fin, infc, d_in, cross = _naive_tables(
         n, g.edges, [d.per_vertex.get(v, 0) for v in range(n)], d.pairs)
-    best = None  # (num, den, mask, free, INF edges left)
-    for free in itertools.combinations(range(g.edge_count),
-                                       min(k - 1, g.edge_count)):
-        for mask in range(1, (1 << n) - 1):
-            if kind is CutKind.UNIFORM:
-                den = min(d_in[mask], 2 * d.r - d_in[mask])
-            else:
-                den = cross[mask]
-            if den == 0:
-                continue
+    best = None  # (num, den, mask, INF edges left)
+    for mask in range(1, (1 << n) - 1):
+        if kind is CutKind.UNIFORM:
+            den = min(d_in[mask], 2 * d.r - d_in[mask])
+        else:
+            den = cross[mask]
+        if den == 0:
+            continue
+        for free in itertools.combinations(range(g.edge_count),
+                                           min(k - 1, g.edge_count)):
             f, ic = fin[mask], infc[mask]
             for u, v, w in (g.edges[i] for i in free):
                 if ((mask >> u) ^ (mask >> v)) & 1:
@@ -569,13 +581,12 @@ def _k_route_by_free_sets(g, d, k, kind):
                         f -= w
             num = INF if ic > 0 else min(f, INF)
             if best is None or ((num * best[1], ic > 0)
-                                < (best[0] * den, best[4] > 0)):
-                best = (num, den, mask, free, ic)
+                                < (best[0] * den, best[3] > 0)):
+                best = (num, den, mask, ic)
     if best is None:
         return None
-    num, den, mask, free, _ = best
-    side = frozenset(v for v in range(n) if (mask >> v) & 1)
-    return side, num, den, frozenset(free) & set(g.cut_edges(side))
+    num, den, mask, _ = best
+    return frozenset(v for v in range(n) if (mask >> v) & 1), num, den
 
 
 def test_cut_tables_match_naive():
@@ -614,8 +625,8 @@ def test_k_route_exact_matches_free_set_loop():
                     k_route_sparsest_cut(g, d, k, kind, EXACT)
                 continue
             got = k_route_sparsest_cut(g, d, k, kind, EXACT)
-            assert (got.side, got.residual_weight, got.denominator,
-                    got.free_edges) == want
+            assert (got.side, got.residual_weight, got.denominator) == want
+            assert_cut_fields(g, d, got, k - 1)
 
 
 def _vertex_by_separators(g, d, k, kind, cfg):
@@ -727,24 +738,21 @@ def test_saturated_cut_reads_inf_in_both_modes():
 
 
 def test_complement_tie_returns_side_without_last_vertex():
-    # On the 4-cycle with k = 2, sides {0,3} and {1,2} are complements with
-    # sparsity 1/2 and free set (0,), which beats the (1,) of {0,1}. The
-    # first mask of the pair, {1,2}, lacks vertex 3; so does every side the
-    # tie key is asked about, since the scanner reads one side of each pair.
+    # On the 4-cycle with k = 2, sides {0,1}, {1,2} and their complements
+    # all have sparsity 1/2. The first mask, {0,1}, lacks vertex 3, and it
+    # waives its first cut edge by id, 1, since the weights are equal.
     g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     d = DemandSet([(0, 2), (1, 3)])
     for kind in CutKind:
         tables = _mask_tables(g, d)
         before = (tables[0], *map(list, tables[1:]))
         got = k_route_sparsest_cut(g, d, 2, kind, EXACT)
-        assert (got.side, got.residual_weight, got.denominator,
-                got.free_edges) == _k_route_by_free_sets(g, d, 2, kind) == \
-            (frozenset({1, 2}), 1, 2, frozenset({0}))
-        asked = []
+        assert (got.side, got.residual_weight, got.denominator) == \
+            _k_route_by_free_sets(g, d, 2, kind) == (frozenset({0, 1}), 1, 2)
+        assert got.free_edges == frozenset({1})
         # Equal weights: the edges in id order are heaviest first.
-        _scan_masks(tables, range(4), 0, kind, list(g.edges), 1,
-                    lambda mask, num: asked.append(mask) or 0)
-        assert asked and max(asked) < 1 << 3
+        assert _scan_masks(tables, range(4), 0, kind, list(g.edges), 1) == \
+            (1, 2, 0b0011)
         assert _mask_tables(g, d) == before  # waiving wrote no cached table
 
 
@@ -761,11 +769,8 @@ def test_vertex_complement_tie_with_separator():
         assert (got.residual_weight, got.denominator, got.side,
                 got.separator) == _vertex_by_separators(g, d, 2, kind, EXACT) \
             == (0, 2, frozenset({0, 1}), frozenset({2}))
-        asked = []
-        assert _scan_masks(_mask_tables(g, d), [0, 1, 3, 4], 1 << 2, kind,
-                           tie_key=lambda mask, num: asked.append(mask) or 0) \
-            == (0, 2, 0b0011)
-        assert all(mask < 1 << 3 for mask in asked)
+        assert _scan_masks(_mask_tables(g, d), [0, 1, 3, 4], 1 << 2,
+                           kind) == (0, 2, 0b0011)
 
 
 def test_scan_masks_on_tiny_tables():
@@ -808,7 +813,7 @@ def test_saturated_tie_prefers_side_across_no_inf_edge():
     assert (cut.side, cut.residual_weight, cut.free_edges) == \
         (frozenset({0}), INF, frozenset({2}))
     assert _k_route_by_free_sets(g, DemandSet([(0, 1)]), 2, kind) == \
-        (frozenset({0}), INF, 1, frozenset({2}))
+        (frozenset({0}), INF, 1)
 
 
 def _answer(oracle, *args):
@@ -821,8 +826,9 @@ def _answer(oracle, *args):
 
 def test_sweep_scans_exactly_up_to_ten_vertices():
     # On graphs of at most SWEEP_EXACT_MAX vertices sweep mode takes exact
-    # mode's scan: every field and every error agree. Tight budgets are
-    # checked ahead of that split, so both modes refuse the same inputs.
+    # mode's scan: every field and every error agree. The free-set budget is
+    # checked ahead of that split, and the separator budget wherever the
+    # scan is exact, so both modes refuse the same inputs.
     rng = random.Random(173)
     weights = (0, 0, 1, 2, 3, 5, 2**62 - 1, 2**62, INF)
     seen = set()
@@ -929,10 +935,11 @@ def test_sweep_splits_first_pair_when_every_merge_joins_a_pair(monkeypatch):
         assert group[0] != group[1]
         cfg = OracleConfig(mode="sweep", seed=trial)
         for kind in CutKind:
-            for cut in (sparsest_cut(g, d, kind, cfg),
-                        k_route_sparsest_cut(g, d, 3, kind, cfg),
-                        vertex_k_route_sparsest_cut(g, d, 2, kind, cfg)):
-                assert_cut_fields(g, d, cut)
+            for cut, waive in (
+                    (sparsest_cut(g, d, kind, cfg), 0),
+                    (k_route_sparsest_cut(g, d, 3, kind, cfg), 2),
+                    (vertex_k_route_sparsest_cut(g, d, 2, kind, cfg), 0)):
+                assert_cut_fields(g, d, cut, waive)
     assert sides and max(sides) <= 1 << 9
 
 
@@ -972,15 +979,15 @@ def test_sweep_above_ten_vertices_never_beats_exact():
         g = _mixed_graph(rng, n)
         d = DemandSet(random_pairs(rng, n, rng.randint(1, 4)))
         for kind in CutKind:
-            for oracle, args, waived in (
+            for oracle, args, waive in (
                     (sparsest_cut, (g, d, kind), 0),
                     (k_route_sparsest_cut, (g, d, 2, kind), 1),
                     (k_route_sparsest_cut, (g, d, 3, kind), 2),
-                    (vertex_k_route_sparsest_cut, (g, d, 2, kind), 1)):
+                    (vertex_k_route_sparsest_cut, (g, d, 2, kind), 0)):
                 sw = oracle(*args, SWEEP)
                 assert sw.sparsity >= oracle(*args, EXACT).sparsity
-                assert len(sw.free_edges) + len(sw.separator) <= waived
-                assert_cut_fields(g, d, sw)
+                assert len(sw.separator) <= 1
+                assert_cut_fields(g, d, sw, waive)
 
 
 def test_bicriteria_waives_inf_edges_and_never_pays_them():
