@@ -54,6 +54,12 @@ def _parse_weight(token: str, line_no: int) -> int:
     return w
 
 
+def _ints(toks, line_no: int, what: str) -> list[int]:
+    if not all(map(str.isdecimal, toks)):
+        raise ParseError(line_no, f"{what} must be a nonnegative integer")
+    return [int(x) for x in toks]
+
+
 def parse_instance(text: str) -> Instance:
     header = None
     edges: list[tuple[int, int, int]] = []
@@ -65,16 +71,13 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "duplicate header")
             if len(toks) != 7 or toks[1] != "krc" or toks[2] not in ("ec", "vc"):
                 raise ParseError(line_no, "expected `p krc <ec|vc> n m r k`")
-            try:
-                header = (toks[2], *(int(x) for x in toks[3:]))
-            except ValueError:
-                raise ParseError(line_no, "non-integer header field") from None
+            header = (toks[2], *_ints(toks[3:], line_no, "header field"))
         elif kind == "e":
             if header is None:
                 raise ParseError(line_no, "edge before header")
             if len(toks) != 4:
                 raise ParseError(line_no, "expected `e u v w`")
-            try:
+            try:  # inline, not _ints: edge lines are most of an instance
                 u, v = int(toks[1]), int(toks[2])
             except ValueError:
                 raise ParseError(line_no, "non-integer endpoint") from None
@@ -90,10 +93,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "demand before header")
             if len(toks) != 3:
                 raise ParseError(line_no, "expected `d s t`")
-            try:
-                s, t = int(toks[1]), int(toks[2])
-            except ValueError:
-                raise ParseError(line_no, "non-integer terminal") from None
+            s, t = _ints(toks[1:], line_no, "terminal")
             n = header[1]
             if not (0 <= s < n and 0 <= t < n):
                 raise ParseError(line_no, f"terminal out of range 0..{n - 1}")
@@ -131,13 +131,15 @@ def parse_bipartite(text: str) -> Bipartite:
     edges = []
     for line_no, toks in _records(text):
         if toks[0] == "p":
+            if header is not None:
+                raise ParseError(line_no, "duplicate header")
             if len(toks) != 5 or toks[1] != "bip":
                 raise ParseError(line_no, "expected `p bip m n edges`")
-            header = tuple(int(x) for x in toks[2:])
+            header = _ints(toks[2:], line_no, "header field")
         elif toks[0] == "e":
             if header is None or len(toks) != 3:
                 raise ParseError(line_no, "expected `e left right` after header")
-            edges.append((int(toks[1]), int(toks[2])))
+            edges.append(tuple(_ints(toks[1:], line_no, "endpoint")))
         else:
             raise ParseError(line_no, f"unknown record {toks[0]!r}")
     if header is None:
@@ -158,15 +160,17 @@ def parse_hypergraph(text: str) -> Hypergraph:
     hyperedges = []
     for line_no, toks in _records(text):
         if toks[0] == "p":
+            if header is not None:
+                raise ParseError(line_no, "duplicate header")
             if len(toks) != 5 or toks[1] != "hyp":
                 raise ParseError(line_no, "expected `p hyp n m arity`")
-            header = tuple(int(x) for x in toks[2:])
+            header = _ints(toks[2:], line_no, "header field")
         elif toks[0] == "h":
             if header is None:
                 raise ParseError(line_no, "hyperedge before header")
-            members = [int(x) for x in toks[1:]]
-            if len(members) != header[2]:
-                raise ParseError(line_no, f"expected arity {header[2]}")
+            members = _ints(toks[1:], line_no, "vertex")
+            if len(members) != header[2] or len(set(members)) != header[2]:
+                raise ParseError(line_no, f"need {header[2]} distinct vertices")
             hyperedges.append(members)
         else:
             raise ParseError(line_no, f"unknown record {toks[0]!r}")

@@ -62,7 +62,7 @@ class NonIntegralThreshold(KrcError):
 
 
 class SizeOverflow(KrcError):
-    """A constructed object would exceed the configured size limit."""
+    """A constructed object would exceed its size limit."""
 
 
 class ParseError(KrcError):

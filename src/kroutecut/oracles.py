@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 from .errors import (ExactCapExceeded, FreeSetBlowup, Infeasible,
                      NoCandidateCut, SeparatorBlowup)
@@ -35,29 +36,26 @@ class CutKind(Enum):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Configuration for the pluggable sparsest-cut backends.
+    """The oracle mode and the seed of sweep mode's coarsenings.
 
     mode "exact" enumerates every vertex subset (factor 1) and refuses graphs
     above exact_vertex_cap; mode "sweep" does the same up to SWEEP_EXACT_MAX
     vertices and above it scans the unions of groups of sweep_restarts
-    seeded coarsenings, then refines by single-vertex moves. Enumeration
-    budgets are hard errors, never silent truncation.
+    seeded coarsenings, then refines by single-vertex moves. The multicut is
+    exact in exact mode and greedy in sweep mode. The budgets are hard
+    errors, never silent truncation. All four limits are class constants.
     """
 
     mode: str = "exact"
-    exact_vertex_cap: int = 20
     seed: int = 0
-    sweep_restarts: int = 3
-    free_set_budget: int = 200_000
-    separator_budget: int = 200_000
+    exact_vertex_cap: ClassVar[int] = 20
+    sweep_restarts: ClassVar[int] = 3
+    free_set_budget: ClassVar[int] = 200_000
+    separator_budget: ClassVar[int] = 200_000
 
     def __post_init__(self):
         if self.mode not in ("exact", "sweep"):
             raise ValueError(f"unknown oracle mode {self.mode!r}")
-
-    @property
-    def multicut_mode(self) -> str:
-        return "exact" if self.mode == "exact" else "greedy"
 
 
 @dataclass(frozen=True)
@@ -605,16 +603,12 @@ def _exact_multicut(g: Graph, demands: DemandSet, ell: int) -> frozenset[int]:
 
     def dfs(idx: int, removed: list[int], cost: int, label: list[int]) -> None:
         nonlocal best_cost, best_set
-        if cost > best_cost:
-            return
         if _count_separated(demands, label) >= ell:
             key = (cost, tuple(sorted(removed)))
             if key < (best_cost, best_set):
                 best_cost, best_set = key
             return
         for j in range(idx, len(finite)):
-            if cost > best_cost:
-                return
             e = finite[j]
             u, v, w = g.edges[e]
             if cost + w <= best_cost:
@@ -638,7 +632,7 @@ def l_multicut(g: Graph, demands: DemandSet, ell: int,
         raise ValueError("ell must lie in [0, r]")
     if ell == 0:
         return frozenset()
-    if cfg.multicut_mode == "exact":
+    if cfg.mode == "exact":
         return _exact_multicut(g, demands, ell)
     return _greedy_multicut(g, demands, ell)
 
@@ -729,8 +723,6 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
             cut_ids = g.cut_edges(side)
             den = sum(1 for s, t in demands.pairs
                       if (s in side) != (t in side))
-            if den == 0:
-                continue
             ranked = sorted(cut_ids, key=lambda i: (-g.edges[i].w, i))
             free = tuple(sorted(ranked[:f_target]))
             num = wsum(g.edges[i].w for i in ranked[f_target:])

@@ -237,11 +237,14 @@ def ssve_to_st_vc_krc(bip: Bipartite, alpha: Fraction) -> Instance:
     return Instance(graph, DemandSet([(s, t)]), k, Flavor.VERTEX)
 
 
-def tensor_square(bip: Bipartite, max_cells: int = 4_000_000) -> Bipartite:
+TENSOR_MAX_CELLS = 4_000_000  # vertices per side, and edges, of a tensor square
+
+
+def tensor_square(bip: Bipartite) -> Bipartite:
     """Tensor product of the graph with itself, row-major index encoding."""
     m, n = bip.left_count, bip.right_count
-    if m * m > max_cells or n * n > max_cells or len(bip.edges) ** 2 > max_cells:
-        raise SizeOverflow("tensor square exceeds the configured size limit")
+    if max(m * m, n * n, len(bip.edges) ** 2) > TENSOR_MAX_CELLS:
+        raise SizeOverflow(f"tensor square exceeds {TENSOR_MAX_CELLS} cells")
     edges = []
     for u1, v1 in bip.edges:
         for u2, v2 in bip.edges:

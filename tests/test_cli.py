@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import kroutecut
-from kroutecut import Flavor, INF
-from kroutecut.cli import (build_report, gen_instance, parse_bipartite,
-                           parse_hypergraph, parse_instance, render_bipartite,
-                           render_instance, run, write_report)
+from kroutecut import INF, Flavor, OracleConfig
+from kroutecut.cli import (_build_parser, _params_from_args, build_report,
+                           gen_instance, parse_bipartite, parse_hypergraph,
+                           parse_instance, render_bipartite, render_instance,
+                           run, write_report)
 from kroutecut.errors import ParseError
 
 
@@ -337,3 +339,38 @@ def test_cli_uniformize_rejects_negative_guess(tmp_path):
     assert run(["reduce", "uniformize", "--input", str(vc_file),
                 "--opt-guess", "-3", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("what, text, line_no", [
+    ("tensor", "p bip 2 2 1\ne 0 1\np bip 3 3 1\n", 3),  # second header
+    ("dks", "p hyp 3 1 2\nh 0 1\np hyp 4 1 2\n", 3),
+    ("dks", "p hyp 3 1 2\nh 0 0\n", 2),  # arity 1 under an arity-2 header
+    ("tensor", "p bip 2 2 x\n", 1),  # non-integer tokens
+    ("tensor", "p bip 2 2 1\ne 0 y\n", 2),
+    ("dks", "p hyp 3 1 2\nh 0 z\n", 2),
+    ("tensor", "p bip -3 2 0\n", 1),  # squared, -3 read as 9 vertices
+], ids=["bip-header-twice", "hyp-header-twice", "hyp-repeated-vertex",
+        "bip-header-token", "bip-edge-token", "hyp-vertex-token",
+        "bip-negative-count"])
+def test_cli_reduce_rejects_malformed_files_by_line(tmp_path, capsys, what,
+                                                     text, line_no):
+    src = tmp_path / "in.txt"
+    src.write_text(text)
+    out = tmp_path / "out.bip"
+    kappa = ["--kappa", "1"] if what == "dks" else []
+    assert run(["reduce", what, "--input", str(src), "--out", str(out)]
+               + kappa) == 2
+    assert f"line {line_no}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_config_holds_only_mode_and_seed():
+    assert {f.name for f in dataclasses.fields(OracleConfig)} == {"mode", "seed"}
+    args = _build_parser().parse_args(["solve", "--alg", "ec", "--input", "x",
+                                       "--oracle", "sweep", "--seed", "5"])
+    assert _params_from_args(args).oracle == OracleConfig(mode="sweep", seed=5)
+    assert (OracleConfig.exact_vertex_cap, OracleConfig.sweep_restarts,
+            OracleConfig.free_set_budget, OracleConfig.separator_budget) == \
+        (20, 3, 200_000, 200_000)
+    with pytest.raises(TypeError):
+        OracleConfig(free_set_budget=3)

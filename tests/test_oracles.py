@@ -173,11 +173,11 @@ def test_sparsest_cut_kinds_agree_single_pair():
         assert a.sparsity == b.sparsity
 
 
-def test_sparsest_cut_exact_cap():
+def test_sparsest_cut_exact_cap(monkeypatch):
     g = Graph(3, [(0, 1, 1), (1, 2, 1)])
-    small = OracleConfig(exact_vertex_cap=2)
+    monkeypatch.setattr(OracleConfig, "exact_vertex_cap", 2)
     with pytest.raises(ExactCapExceeded):
-        sparsest_cut(g, DemandSet([(0, 2)]), CutKind.UNIFORM, small)
+        sparsest_cut(g, DemandSet([(0, 2)]), CutKind.UNIFORM, EXACT)
 
 
 def test_sweep_never_beats_exact():
@@ -235,12 +235,12 @@ def test_k_route_matches_brute_force():
                 assert got.free_edges == want.free_edges
 
 
-def test_free_set_budget():
+def test_free_set_budget(monkeypatch):
     g = Graph(4, [(0, 1, 1)] * 8)
-    tight = OracleConfig(free_set_budget=3)
+    monkeypatch.setattr(OracleConfig, "free_set_budget", 3)
     with pytest.raises(FreeSetBlowup):
         k_route_sparsest_cut(g, DemandSet([(0, 1)]), 3, CutKind.NONUNIFORM,
-                             tight)
+                             EXACT)
 
 
 def test_multicut_trivial_and_star():
@@ -499,23 +499,22 @@ def test_oracle_determinism():
             assert a == b
 
 
-def test_separator_budget():
+def test_separator_budget(monkeypatch):
     g = Graph(8, [(0, 1, 1)])
-    tight = OracleConfig(separator_budget=4)
+    monkeypatch.setattr(OracleConfig, "separator_budget", 4)
     with pytest.raises(SeparatorBlowup):
         vertex_k_route_sparsest_cut(g, DemandSet([(0, 1)]), 3,
-                                    CutKind.NONUNIFORM, tight)
+                                    CutKind.NONUNIFORM, EXACT)
     # At n = 12, k = 3 there are 1 + 12 + 66 = 79 separators of size below
     # k. Exact mode enumerates them all and refuses; sweep mode tries only
     # subsets of its pool, so the budget does not apply to it.
     g = Graph(12, [(v, (v + 1) % 12, 1) for v in range(12)])
     d = DemandSet([(0, 6)])
+    monkeypatch.setattr(OracleConfig, "separator_budget", 50)
     with pytest.raises(SeparatorBlowup):
-        vertex_k_route_sparsest_cut(g, d, 3, CutKind.NONUNIFORM,
-                                    OracleConfig(separator_budget=50))
-    cut = vertex_k_route_sparsest_cut(
-        g, d, 3, CutKind.NONUNIFORM,
-        OracleConfig(mode="sweep", separator_budget=50))
+        vertex_k_route_sparsest_cut(g, d, 3, CutKind.NONUNIFORM, EXACT)
+    cut = vertex_k_route_sparsest_cut(g, d, 3, CutKind.NONUNIFORM,
+                                      OracleConfig(mode="sweep"))
     assert_cut_fields(g, d, cut)
 
 
@@ -676,7 +675,7 @@ def _vertex_by_separators(g, d, k, kind, cfg):
     return best
 
 
-def test_vertex_exact_matches_per_separator_path():
+def test_vertex_exact_matches_per_separator_path(monkeypatch):
     rng = random.Random(163)
     weights = (0, 1, 2, 3, 2**62 - 1, 2**62, INF)
     for trial in range(1000):
@@ -684,17 +683,19 @@ def test_vertex_exact_matches_per_separator_path():
         g = Graph(n, [(*rng.sample(range(n), 2), rng.choice(weights))
                       for _ in range(rng.randint(0, 7))])
         d = DemandSet(random_pairs(rng, n, rng.randint(1, 3)))
-        cfg = OracleConfig(exact_vertex_cap=rng.choice((20, 20, 20, 4)),
-                           separator_budget=rng.choice((10**6, 10**6, 7)))
+        monkeypatch.setattr(OracleConfig, "exact_vertex_cap",
+                            rng.choice((20, 20, 20, 4)))
+        monkeypatch.setattr(OracleConfig, "separator_budget",
+                            rng.choice((10**6, 10**6, 7)))
         k = rng.randint(1, 4)
         for kind in (CutKind.UNIFORM, CutKind.NONUNIFORM):
             try:
-                want = _vertex_by_separators(g, d, k, kind, cfg)
+                want = _vertex_by_separators(g, d, k, kind, EXACT)
             except KrcError as exc:
                 with pytest.raises(type(exc)):
-                    vertex_k_route_sparsest_cut(g, d, k, kind, cfg)
+                    vertex_k_route_sparsest_cut(g, d, k, kind, EXACT)
                 continue
-            got = vertex_k_route_sparsest_cut(g, d, k, kind, cfg)
+            got = vertex_k_route_sparsest_cut(g, d, k, kind, EXACT)
             num, den, side, delta = want
             assert (got.side, got.separator, got.residual_weight,
                     got.denominator, got.sparsity) == \
@@ -824,7 +825,7 @@ def _answer(oracle, *args):
         return type(exc)
 
 
-def test_sweep_scans_exactly_up_to_ten_vertices():
+def test_sweep_scans_exactly_up_to_ten_vertices(monkeypatch):
     # On graphs of at most SWEEP_EXACT_MAX vertices sweep mode takes exact
     # mode's scan: every field and every error agree. The free-set budget is
     # checked ahead of that split, and the separator budget wherever the
@@ -840,14 +841,15 @@ def test_sweep_scans_exactly_up_to_ten_vertices():
         g = Graph(n, edges)
         d = DemandSet(random_pairs(rng, n, rng.randint(1, 4)))
         k = rng.randint(1, 4)
-        budgets = dict(free_set_budget=rng.choice((200_000, 200_000, 12)),
-                       separator_budget=rng.choice((200_000, 200_000, 20)))
-        exact = OracleConfig(**budgets)
-        sweep = OracleConfig(mode="sweep", seed=trial, **budgets)
+        for name, tight in (("free_set_budget", 12), ("separator_budget", 20)):
+            monkeypatch.setattr(OracleConfig, name,
+                                rng.choice((200_000, 200_000, tight)))
+        exact = OracleConfig()
+        sweep = OracleConfig(mode="sweep", seed=trial)
         fsize = min(k - 1, g.edge_count)
-        over_free = math.comb(g.edge_count, fsize) > budgets["free_set_budget"]
+        over_free = math.comb(g.edge_count, fsize) > exact.free_set_budget
         over_sep = (sum(math.comb(n, j) for j in range(k))
-                    > budgets["separator_budget"])
+                    > exact.separator_budget)
         for kind in CutKind:
             for oracle, args in (
                     (sparsest_cut, (g, d, kind)),

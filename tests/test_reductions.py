@@ -6,6 +6,7 @@ import pytest
 
 from kroutecut import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
                        is_feasible)
+from kroutecut import reductions
 from kroutecut.errors import (ExactCapExceeded, GuessZero, IsolatedTerminal,
                               NonIntegralThreshold, SizeOverflow)
 from kroutecut.exact import brute_force_opt
@@ -207,10 +208,11 @@ def test_tensor_single_edge():
     assert sq.edges == ((0, 0),)
 
 
-def test_tensor_overflow():
+def test_tensor_overflow(monkeypatch):
     bip = Bipartite(3, 3, [(i, j) for i in range(3) for j in range(3)])
+    monkeypatch.setattr(reductions, "TENSOR_MAX_CELLS", 10)
     with pytest.raises(SizeOverflow):
-        tensor_square(bip, max_cells=10)
+        tensor_square(bip)
 
 
 def test_dks_incidence():
