@@ -72,6 +72,7 @@ def parse_instance(text: str) -> Instance:
             if len(toks) != 7 or toks[1] != "krc" or toks[2] not in ("ec", "vc"):
                 raise ParseError(line_no, "expected `p krc <ec|vc> n m r k`")
             header = (toks[2], *_ints(toks[3:], line_no, "header field"))
+            header_line = line_no
         elif kind == "e":
             if header is None:
                 raise ParseError(line_no, "edge before header")
@@ -106,11 +107,13 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(0, "missing header")
     flavor_tok, n, m, r, k = header
     if len(edges) != m:
-        raise ParseError(0, f"header declares {m} edges, found {len(edges)}")
+        raise ParseError(header_line,
+                         f"header declares {m} edges, found {len(edges)}")
     if len(demands) != r:
-        raise ParseError(0, f"header declares {r} demands, found {len(demands)}")
+        raise ParseError(header_line,
+                         f"header declares {r} demands, found {len(demands)}")
     if k < 1:
-        raise ParseError(0, "k must be >= 1")
+        raise ParseError(header_line, "k must be >= 1")
     flavor = Flavor.EDGE if flavor_tok == "ec" else Flavor.VERTEX
     return Instance(Graph(n, edges), DemandSet(demands), k, flavor)
 
@@ -128,7 +131,7 @@ def render_instance(inst: Instance) -> str:
 
 def parse_bipartite(text: str) -> Bipartite:
     header = None
-    edges = []
+    edges = {}  # (left, right) -> its line, in file order
     for line_no, toks in _records(text):
         if toks[0] == "p":
             if header is not None:
@@ -136,16 +139,24 @@ def parse_bipartite(text: str) -> Bipartite:
             if len(toks) != 5 or toks[1] != "bip":
                 raise ParseError(line_no, "expected `p bip m n edges`")
             header = _ints(toks[2:], line_no, "header field")
+            header_line = line_no
         elif toks[0] == "e":
             if header is None or len(toks) != 3:
                 raise ParseError(line_no, "expected `e left right` after header")
-            edges.append(tuple(_ints(toks[1:], line_no, "endpoint")))
+            l, r = _ints(toks[1:], line_no, "endpoint")
+            if l >= header[0] or r >= header[1]:
+                raise ParseError(line_no, f"edge ({l},{r}) out of range")
+            if (l, r) in edges:
+                raise ParseError(line_no, f"edge ({l},{r}) repeats line "
+                                          f"{edges[l, r]}")
+            edges[l, r] = line_no
         else:
             raise ParseError(line_no, f"unknown record {toks[0]!r}")
     if header is None:
         raise ParseError(0, "missing header")
     if len(edges) != header[2]:
-        raise ParseError(0, "edge count mismatch")
+        raise ParseError(header_line, f"header declares {header[2]} edges, "
+                                      f"found {len(edges)}")
     return Bipartite(header[0], header[1], edges)
 
 
@@ -165,19 +176,24 @@ def parse_hypergraph(text: str) -> Hypergraph:
             if len(toks) != 5 or toks[1] != "hyp":
                 raise ParseError(line_no, "expected `p hyp n m arity`")
             header = _ints(toks[2:], line_no, "header field")
+            header_line = line_no
         elif toks[0] == "h":
             if header is None:
                 raise ParseError(line_no, "hyperedge before header")
             members = _ints(toks[1:], line_no, "vertex")
             if len(members) != header[2] or len(set(members)) != header[2]:
                 raise ParseError(line_no, f"need {header[2]} distinct vertices")
+            if members and max(members) >= header[0]:
+                raise ParseError(line_no, f"vertex {max(members)} out of "
+                                          f"range 0..{header[0] - 1}")
             hyperedges.append(members)
         else:
             raise ParseError(line_no, f"unknown record {toks[0]!r}")
     if header is None:
         raise ParseError(0, "missing header")
     if len(hyperedges) != header[1]:
-        raise ParseError(0, "hyperedge count mismatch")
+        raise ParseError(header_line, f"header declares {header[1]} "
+                                      f"hyperedges, found {len(hyperedges)}")
     return Hypergraph(header[0], hyperedges)
 
 

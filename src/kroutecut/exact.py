@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the oracle implementations it
 is used to validate: subset enumeration and branch and bound only, written in
-the plainest possible style. The branch and bound reuses its own flow answers;
-tests/test_exact.py keeps the plain search as its reference.
+the plainest possible style. The branch and bound reuses its own flow answers
+and skips only subtrees holding no feasible set, so it returns the set of the
+plain search that tests/test_exact.py keeps as its reference.
 """
 
 from __future__ import annotations
@@ -85,8 +86,13 @@ def brute_force_opt(inst: Instance) -> CutSolution:
     answers, and run as a loop at the node. For every pair still
     k-connected the edges of its last k-path flow are kept: taking an edge
     outside them leaves the pair k-connected, so only the pairs whose flow
-    used the taken edge get a new flow, on one reusable unit network. Among
-    equal weights the lexicographically least sorted id tuple wins.
+    used the taken edge get a new flow, on one reusable unit network.
+
+    A feasible set cuts an edge of every such flow, and below a node only
+    later edges are taken, so the node's loop ends at the earliest of its
+    pairs' latest finite flow edges. The skipped subtrees hold no feasible
+    set, so the same sets are met in the same order, and among equal
+    weights the lexicographically least sorted id tuple still wins.
     """
     g = inst.graph
     finite = [i for i, e in enumerate(g.edges) if e.w < INF]
@@ -111,6 +117,12 @@ def brute_force_opt(inst: Instance) -> CutSolution:
             raise Infeasible(f"pair ({s},{t}) stays {k}-connected without finite edges")
 
     order = sorted(finite, key=lambda i: (-g.edges[i].w, i))
+    pos = {e: j for j, e in enumerate(order)}
+
+    def latest(used: frozenset[int]) -> int:
+        """The last order position among a flow's finite edges, or -1."""
+        return max((pos[e] for e in used if e in pos), default=-1)
+
     # Removing every finite edge is feasible by the check above.
     best_cost = sum(g.edges[i].w for i in finite)
     best_ids = tuple(sorted(finite))
@@ -124,7 +136,9 @@ def brute_force_opt(inst: Instance) -> CutSolution:
             if key < (best_cost, best_ids):
                 best_cost, best_ids = key
             return
-        for j in range(idx, len(order)):
+        # Every pair's flow must lose an edge taken at this node or below.
+        last = min(p for _, _, _, p in violated)
+        for j in range(idx, last + 1):
             if cost > best_cost:
                 return
             e = order[j]
@@ -132,16 +146,17 @@ def brute_force_opt(inst: Instance) -> CutSolution:
             if cost + w <= best_cost:
                 removed.append(e)
                 still = []
-                for s, t, used in violated:
+                for s, t, used, p in violated:
                     if e in used:
                         used = connected(s, t, removed)
                         if used is None:
                             continue
-                    still.append((s, t, used))
+                        p = latest(used)
+                    still.append((s, t, used, p))
                 dfs(j + 1, removed, cost + w, still)
                 removed.pop()
 
-    dfs(0, [], 0, violated0)
+    dfs(0, [], 0, [(s, t, used, latest(used)) for s, t, used in violated0])
     return CutSolution(frozenset(best_ids), best_cost, k)
 
 

@@ -589,8 +589,16 @@ def _exact_multicut(g: Graph, demands: DemandSet, ell: int) -> frozenset[int]:
     node's removed set, and so its component labels, and run as a loop at
     the node. Taking an edge whose ends already have different labels
     changes no label, so only an edge inside a component costs a new
-    labelling. Among equal weights the lexicographically least sorted id
-    tuple wins.
+    labelling.
+
+    Each pair still joined keeps a BFS path of G - removed until a taken
+    edge lies on it. A separating set cuts an edge of each path it
+    separates (Marx 2006, "Parameterized graph separation problems"), and
+    below a node only later edges are taken, so with need pairs still to
+    separate the loop ends at the need-th latest of the paths' last finite
+    edges. The skipped subtrees hold no separating set, so the same sets
+    are met in the same order, and among equal weights the
+    lexicographically least sorted id tuple still wins.
     """
     finite = sorted((i for i, e in enumerate(g.edges) if e.w < INF),
                     key=lambda i: (-g.edges[i].w, i))
@@ -600,24 +608,62 @@ def _exact_multicut(g: Graph, demands: DemandSet, ell: int) -> frozenset[int]:
     seed = sorted(_greedy_multicut(g, demands, ell))
     best_cost = sum(g.edges[i].w for i in seed)
     best_set = tuple(seed)
+    pos = {e: j for j, e in enumerate(finite)}
 
-    def dfs(idx: int, removed: list[int], cost: int, label: list[int]) -> None:
+    def bfs_path(removed, s: int, t: int):
+        """A BFS s-t path in G - removed, and its last finite position."""
+        via = {s: None}
+        queue = [s]
+        for u in queue:
+            if t in via:
+                break
+            for ei, v in adjacency[u]:
+                if v not in via and ei not in removed:
+                    via[v] = (ei, u)
+                    queue.append(v)
+        path = []
+        while via[t] is not None:
+            ei, t = via[t]
+            path.append(ei)
+        return path, max((pos[e] for e in path if e in pos), default=-1)
+
+    def witnesses(label, removed, old):
+        """Each pair's path, or None once it is separated; an old path stays
+        while it avoids `removed`."""
+        return [None if label[s] != label[t]
+                else p if p is not None and removed.isdisjoint(p[0])
+                else bfs_path(removed, s, t)
+                for (s, t), p in zip(demands.pairs, old)]
+
+    def dfs(idx: int, removed: list[int], cost: int, label: list[int],
+            paths) -> None:
         nonlocal best_cost, best_set
-        if _count_separated(demands, label) >= ell:
+        need = ell - paths.count(None)
+        if need <= 0:
             key = (cost, tuple(sorted(removed)))
             if key < (best_cost, best_set):
                 best_cost, best_set = key
             return
-        for j in range(idx, len(finite)):
+        # A separating set cuts each pair's path at this node or below.
+        lasts = sorted((p[1] for p in paths if p is not None), reverse=True)
+        if len(lasts) < need:
+            return
+        for j in range(idx, lasts[need - 1] + 1):
             e = finite[j]
             u, v, w = g.edges[e]
             if cost + w <= best_cost:
                 removed.append(e)
-                dfs(j + 1, removed, cost + w, label if label[u] != label[v]
-                    else _labels(adjacency, frozenset(removed)))
+                if label[u] != label[v]:
+                    dfs(j + 1, removed, cost + w, label, paths)
+                else:
+                    cut = frozenset(removed)
+                    child = _labels(adjacency, cut)
+                    dfs(j + 1, removed, cost + w, child,
+                        witnesses(child, cut, paths))
                 removed.pop()
 
-    dfs(0, [], 0, _labels(adjacency, ()))
+    label = _labels(adjacency, ())
+    dfs(0, [], 0, label, witnesses(label, frozenset(), [None] * demands.r))
     return frozenset(best_set)
 
 

@@ -42,8 +42,9 @@ def test_parse_rejects_equal_demand():
 
 
 def test_parse_rejects_count_mismatch():
-    with pytest.raises(ParseError):
-        parse_instance("p krc ec 2 2 0 1\ne 0 1 1\n")
+    with pytest.raises(ParseError) as err:
+        parse_instance("\np krc ec 2 2 0 1\ne 0 1 1\n")
+    assert err.value.line_no == 2  # the header's line
 
 
 def test_parse_comments_ignored():
@@ -349,9 +350,15 @@ def test_cli_uniformize_rejects_negative_guess(tmp_path):
     ("tensor", "p bip 2 2 1\ne 0 y\n", 2),
     ("dks", "p hyp 3 1 2\nh 0 z\n", 2),
     ("tensor", "p bip -3 2 0\n", 1),  # squared, -3 read as 9 vertices
+    ("tensor", "p bip 2 2 1\ne 5 0\n", 2),  # out of range
+    ("tensor", "p bip 2 2 2\ne 0 1\ne 0 1\n", 3),  # repeated
+    ("dks", "p hyp 3 1 2\nh 0 7\n", 2),  # out of range
+    ("tensor", "# a comment\np bip 2 2 2\ne 0 1\n", 2),  # count mismatch
+    ("dks", "\np hyp 3 2 2\nh 0 1\n", 2),
 ], ids=["bip-header-twice", "hyp-header-twice", "hyp-repeated-vertex",
         "bip-header-token", "bip-edge-token", "hyp-vertex-token",
-        "bip-negative-count"])
+        "bip-negative-count", "bip-edge-range", "bip-edge-repeated",
+        "hyp-vertex-range", "bip-count", "hyp-count"])
 def test_cli_reduce_rejects_malformed_files_by_line(tmp_path, capsys, what,
                                                      text, line_no):
     src = tmp_path / "in.txt"

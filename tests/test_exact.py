@@ -126,8 +126,25 @@ def test_brute_force_opt_matches_plain_search(monkeypatch):
         return plain(self, *args, **kwargs)
 
     monkeypatch.setattr(FlowNet, "max_flow", counted)
+
+    def check(inst):
+        """brute_force_opt's flows on a feasible instance, else None."""
+        try:
+            want = _brute_force_opt_reference(inst)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                brute_force_opt(inst)
+            return None
+        flows[0] = 0
+        got = brute_force_opt(inst)
+        assert (got.removed_edge_ids, got.total_weight) == want[:2]
+        # One flow per pair up front and for the infeasibility check, then
+        # at most one per pair at each node that takes an edge.
+        assert flows[0] <= inst.demands.r * (want[2] + 2)
+        return flows[0]
+
     rng = random.Random(151)
-    solved = 0
+    solved = []
     for i in range(500):
         flavor = (Flavor.EDGE, Flavor.VERTEX)[i % 2]
         n = rng.randint(2, 6)
@@ -136,20 +153,23 @@ def test_brute_force_opt_matches_plain_search(monkeypatch):
         r = rng.randint(1, 3)
         inst = Instance(g, DemandSet(random_pairs(rng, n, r)),
                         rng.randint(1, 3), flavor)
-        try:
-            want = _brute_force_opt_reference(inst)
-        except Infeasible:
-            with pytest.raises(Infeasible):
-                brute_force_opt(inst)
-            continue
-        flows[0] = 0
-        got = brute_force_opt(inst)
-        assert (got.removed_edge_ids, got.total_weight) == want[:2]
-        # One flow per pair up front and for the infeasibility check, then
-        # at most one per pair at each node that takes an edge.
-        assert flows[0] <= r * (want[2] + 2)
-        solved += 1
-    assert solved > 400
+        spent = check(inst)
+        if spent is not None:
+            solved.append(spent)
+    assert len(solved) > 400
+    # The witness bound: the same search without it spends 19 244 flows.
+    assert sum(solved) <= 16_306
+    # The bound's edge cases, at k = 1, 2, 3 and in both flavors: pair (0,2)
+    # has only INF edges past its heaviest, first-ordered edge; pair (0,1) of
+    # the second graph is joined by two direct edges, one of weight 0.
+    for n, edges, pairs in [
+            (5, [(0, 1, 5), (1, 2, INF), (0, 3, 1), (3, 2, INF), (3, 4, 1),
+                 (2, 4, 2)], [(0, 2), (3, 4)]),
+            (4, [(0, 1, 2), (0, 1, 0), (0, 2, 1), (2, 1, 1), (0, 3, 1),
+                 (3, 1, INF)], [(0, 1), (2, 3)])]:
+        for k in (1, 2, 3):
+            for flavor in Flavor:
+                check(make_instance(n, edges, pairs, k, flavor))
 
 
 def test_brute_sparsest_examples():

@@ -371,31 +371,56 @@ def test_multicut_matches_plain_search(monkeypatch):
         return plain(*args)
 
     monkeypatch.setattr(oracles, "_labels", counted)
-    rng = random.Random(163)
     greedy = OracleConfig(mode="sweep", seed=1)
-    solved = 0
+
+    def check(g, d, ell):
+        """The exact search's labellings when ell pairs can be cut, else
+        None; the greedy search matches its reference too."""
+        try:
+            want, rounds, takes = _exact_multicut_reference(g, d, ell)
+        except Infeasible:
+            for cfg in (EXACT, greedy):
+                with pytest.raises(Infeasible):
+                    l_multicut(g, d, ell, cfg)
+            return None
+        labellings[0] = 0
+        assert l_multicut(g, d, ell, EXACT) == want
+        # One labelling for the check, one per greedy round and one at
+        # the end of the greedy search, one at the root, and at most
+        # one at each node that takes an edge.
+        spent = labellings[0]
+        assert spent <= rounds + takes + 3
+        assert l_multicut(g, d, ell, greedy) == \
+            _greedy_multicut_reference(g, d, ell)[0]
+        return spent
+
+    rng = random.Random(163)
+    solved = []
     for _ in range(500):
         g = random_graph(rng, rng.randint(2, 6), rng.randint(1, 10), wmin=0,
                          wmax=4, inf_prob=0.1)
         d = DemandSet(random_pairs(rng, g.vertex_count, rng.randint(1, 3)))
         for ell in range(d.r + 1):
-            try:
-                want, rounds, takes = _exact_multicut_reference(g, d, ell)
-            except Infeasible:
-                for cfg in (EXACT, greedy):
-                    with pytest.raises(Infeasible):
-                        l_multicut(g, d, ell, cfg)
-                continue
-            labellings[0] = 0
-            assert l_multicut(g, d, ell, EXACT) == want
-            # One labelling for the check, one per greedy round and one at
-            # the end of the greedy search, one at the root, and at most
-            # one at each node that takes an edge.
-            assert labellings[0] <= rounds + takes + 3
-            assert l_multicut(g, d, ell, greedy) == \
-                _greedy_multicut_reference(g, d, ell)[0]
-            solved += 1
-    assert solved > 1000
+            spent = check(g, d, ell)
+            if spent is not None:
+                solved.append(spent)
+    assert len(solved) > 1000
+    # The witness bound: the same search without it spends 60 877
+    # labellings.
+    assert sum(solved) <= 17_135
+    # The bound's edge cases, for every ell up to r: pair (0,2) has only INF
+    # edges past its heaviest, first-ordered edge, and pairs joined by a
+    # direct edge, one of them uncuttable.
+    for g, pairs in [
+            (Graph(5, [(0, 1, 5), (1, 2, INF), (0, 3, 1), (3, 2, INF),
+                       (3, 4, 1)]), [(0, 2), (3, 4), (1, 4)]),
+            (Graph(4, [(0, 1, 3), (1, 2, INF), (2, 3, INF), (0, 3, 0)]),
+             [(0, 2), (1, 3), (0, 3)]),
+            (Graph(3, [(0, 1, 0), (0, 1, 2), (1, 2, 1), (0, 2, INF)]),
+             [(0, 1), (1, 2), (0, 2)])]:
+        d = DemandSet(pairs)
+        for ell in range(d.r + 1):
+            check(g, d, ell)
 
 
 def test_bicriteria_clipping_rule():
