@@ -24,7 +24,7 @@ from . import exact
 from .errors import Infeasible, KrcError, NoFeasibleGuess, ParseError
 from .graph import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
                     is_feasible)
-from .oracles import CutKind, OracleConfig
+from .oracles import CutKind, OracleConfig, l_multicut
 from .reductions import (Bipartite, Hypergraph, dks_incidence_to_ssve,
                          ec_to_vc, ssve_to_st_vc_krc, tensor_square,
                          vc_weighted_to_uniform)
@@ -463,7 +463,6 @@ def _cmd_oracle(args) -> int:
                 "removed_edges": sorted(sol.removed_edge_ids),
             }, args.report)
     elif args.what == "multicut":
-        from .oracles import l_multicut
         ell = inst.demands.r if args.ell is None else args.ell
         cut = l_multicut(inst.graph, inst.demands, ell,
                          OracleConfig(mode=args.oracle))

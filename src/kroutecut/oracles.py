@@ -4,9 +4,11 @@ Sparsity values are exact rationals throughout; no floating point enters a
 comparison. Exact oracle modes enumerate subsets and are therefore the
 ground truth the solvers are tested against; sweep/greedy modes are seeded
 heuristics for larger graphs and carry no stated approximation factor. One
-mask scanner scores every sparse cut in both modes: sweep mode hands it the
-coarse graphs of a multilevel partitioner. A k-route edge cut waives its
-side's k-1 heaviest cut edges, and those are the free edges it reports.
+route-cut body serves the plain, k-route edge and vertex sparsest cuts in
+both modes: a vertex cut deletes a separator D of at most k-1 vertices, and
+an edge cut is the case D empty that waives its side's k-1 heaviest cut
+edges, the free edges it reports. One mask scanner scores every side:
+sweep mode hands it the coarse graphs of a multilevel partitioner.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ class OracleConfig:
     above exact_vertex_cap; mode "sweep" does the same up to SWEEP_EXACT_MAX
     vertices and above it scans the unions of groups of sweep_restarts
     seeded coarsenings, then refines by single-vertex moves. The multicut is
-    exact in exact mode and greedy in sweep mode. The budgets are hard
-    errors, never silent truncation. All four limits are class constants.
+    exact in exact mode, under the same cap, and greedy in sweep mode. The
+    budgets are hard errors, never silent truncation. All four limits are
+    class constants.
     """
 
     mode: str = "exact"
@@ -231,11 +234,6 @@ def _cut_table(n: int, weighted_edges) -> list[int]:
     return table
 
 
-def _demand_counts(g: Graph, demands: DemandSet) -> list[int]:
-    pv = demands.per_vertex
-    return [pv.get(v, 0) for v in range(g.vertex_count)]
-
-
 def _tables(n: int, edges, d_of: list[int], pairs):
     """(big, cut, d_in, cross) per vertex subset of the graph on (u, v, w)
     `edges` with terminal counts `d_of` and `pairs`; `cut` weighs each INF
@@ -252,7 +250,8 @@ def _tables(n: int, edges, d_of: list[int], pairs):
 def _mask_tables(g: Graph, demands: DemandSet):
     """G's `_tables`, for the exact scans; one set is kept. Coarse and
     G - D tables are built uncached, so they never evict it."""
-    return _tables(g.vertex_count, g.edges, _demand_counts(g, demands),
+    n = g.vertex_count
+    return _tables(n, g.edges, [demands.per_vertex.get(v, 0) for v in range(n)],
                    demands.pairs)
 
 
@@ -347,10 +346,6 @@ def _scan_masks(tables, rest, dm: int, kind: CutKind, ranked=(),
 # larger ones to this many groups, so no scan reads over 2^9 sides.
 SWEEP_EXACT_MAX = 10
 SEPARATOR_POOL = 8  # boundary vertices from which sweep mode draws separators
-
-
-def _scans_exactly(g: Graph, cfg: OracleConfig) -> bool:
-    return cfg.mode == "exact" or g.vertex_count <= SWEEP_EXACT_MAX
 
 
 def _coarsen(n: int, edges, pairs, rng: random.Random) -> list[int]:
@@ -460,42 +455,84 @@ def _check_exact_cap(n: int, cfg: OracleConfig) -> None:
             f"{n} vertices exceeds exact cap {cfg.exact_vertex_cap}")
 
 
-def _side(mask: int, vertices) -> frozenset[int]:
-    return frozenset(v for i, v in enumerate(vertices) if (mask >> i) & 1)
+def _route_cut(g: Graph, demands: DemandSet, kind: CutKind, cfg: OracleConfig,
+               waive: int = 0, separators: int = 0) -> SparseCut:
+    """Least-sparsity side S and separator D, |D| <= `separators`, of the
+    edges from S to the rest of G - D, with S's `waive` heaviest cut edges
+    waived. This one body serves the plain cut, the k-route edge cut (waive
+    k-1, and then D is empty) and the vertex cut (separators k-1).
 
-
-def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
-                 cfg: OracleConfig) -> SparseCut:
-    """Minimum-sparsity cut for the given kind: the k-route cut at k = 1."""
-    return _route_cut(g, demands, 0, kind, cfg)
-
-
-def _route_cut(g: Graph, demands: DemandSet, fsize: int, kind: CutKind,
-               cfg: OracleConfig) -> SparseCut:
-    """Least-sparsity side of G with its `fsize` heaviest cut edges waived,
-    by an exact pass or, in sweep mode above SWEEP_EXACT_MAX, a coarse scan.
-    Those edges, the side's first `fsize` cut edges by (-w, id), are its
-    free edges."""
+    Exact mode, and sweep mode up to SWEEP_EXACT_MAX vertices, read each
+    G - D from G's tables. Above it, sweep mode scans G - D re-indexed, on
+    its own tables or coarsened if still above the bound, and draws every
+    nonempty D from the SEPARATOR_POOL vertices of most crossing weight on
+    the cut found for D empty. Pairs with an end in D never count toward
+    the split-pair denominator; terminal-count denominators keep full
+    counts. Ties: first D; within one D, a side across no INF edge, then
+    the first S. The free edges, set only when `waive` > 0, are the side's
+    first `waive` cut edges by (-w, id). The separator budget bounds the
+    separators that are enumerated, so it is checked only where the scan is
+    exact; sweep mode above SWEEP_EXACT_MAX tries at most 2^SEPARATOR_POOL.
+    """
     if demands.r < 1:
         raise ValueError("need at least one demand pair")
     n = g.vertex_count
     _check_exact_cap(n, cfg)
-    order = _heaviest_first(g.edges)
-    if _scans_exactly(g, cfg):
-        best = _scan_masks(_mask_tables(g, demands), range(n), 0, kind,
-                           [g.edges[i] for i in order], fsize)
-    else:
-        best = _coarse_scan(n, g.edges, _demand_counts(g, demands),
-                            demands.pairs, kind, fsize, cfg)
+    exact = cfg.mode == "exact" or n <= SWEEP_EXACT_MAX
+    count = sum(math.comb(n, j) for j in range(separators + 1))
+    if exact and count > cfg.separator_budget:
+        raise SeparatorBlowup(f"{count} separators exceed budget {cfg.separator_budget}")
+    order = _heaviest_first(g.edges) if waive else ()
+    ranked = [g.edges[i] for i in order]
+    pool = range(n)
+    best = None  # (num, den, side, separator)
+    for size in range(separators + 1):
+        for delta in itertools.combinations(pool, size):
+            rest = [v for v in range(n) if v not in delta]
+            if len(rest) < 2:
+                continue
+            if exact:
+                found = _scan_masks(_mask_tables(g, demands), rest,
+                                    sum(1 << v for v in delta), kind, ranked,
+                                    waive)
+            else:  # only D empty waives, and then the coarse scan ranks G
+                pos = {v: i for i, v in enumerate(rest)}
+                sub = (len(rest), [(pos[u], pos[v], w) for u, v, w in g.edges
+                                   if u in pos and v in pos],
+                       [demands.per_vertex.get(v, 0) for v in rest],
+                       [(pos[s], pos[t]) for s, t in demands.pairs
+                        if s in pos and t in pos])
+                found = (_scan_masks(_tables(*sub), range(len(rest)), 0, kind)
+                         if len(rest) <= SWEEP_EXACT_MAX else
+                         _coarse_scan(*sub, kind, waive, cfg))
+            if found is None:
+                continue
+            num, den, mask = found
+            if best is None or num * best[1] < best[0] * den:
+                side = frozenset(v for i, v in enumerate(rest) if (mask >> i) & 1)
+                best = (num, den, side, frozenset(delta))
+        if size == 0 and separators and not exact:  # best: the cut for D empty
+            crossing = [e for e in g.edges
+                        if (e.u in best[2]) != (e.v in best[2])]
+            weight = {x: sum(e.w for e in crossing if x in e[:2])
+                      for e in crossing for x in e[:2]}
+            pool = sorted(sorted(weight, key=lambda x: (-weight[x], x))
+                          [:SEPARATOR_POOL])
     if best is None:
         raise NoCandidateCut("no cut with positive denominator")
-    num, den, mask = best
-    side = _side(mask, range(n))
-    cut = set(g.cut_edges(side))
-    free = [i for i in order if i in cut][:fsize]
+    num, den, side, delta = best
+    cut = set(g.cut_edges(side)) if waive else ()
+    free = [i for i in order if i in cut][:waive]
     return SparseCut(side=side, kind=kind, residual_weight=num,
                      denominator=den, sparsity=Fraction(num, den),
-                     free_edges=frozenset(free))
+                     free_edges=frozenset(free), separator=delta)
+
+
+def sparsest_cut(g: Graph, demands: DemandSet, kind: CutKind,
+                 cfg: OracleConfig) -> SparseCut:
+    """Minimum-sparsity cut for the given kind: `_route_cut` with nothing
+    waived and no separator, so the k-route and vertex cuts at k = 1."""
+    return _route_cut(g, demands, kind, cfg)
 
 
 def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
@@ -503,14 +540,12 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     """Minimizer of residual sparsity with k-1 edges waived.
 
     For a fixed side the best k-1 edges to waive are its k-1 heaviest cut
-    edges, by (-w, id), and those are the cut's free edges. Exact mode makes
-    one pass with them waived over the sides that leave out vertex n-1, one
-    of each complement pair: the true k-route sparsest cut. Among optimal
-    sides it prefers one whose residual crosses no INF edge, then the first,
-    which lacks vertex n-1. Sweep mode does the same up to SWEEP_EXACT_MAX
-    vertices and waives alike in `_coarse_scan` above. No mode enumerates
-    free sets, yet both check the free-set budget, to refuse the inputs
-    they always have.
+    edges, by (-w, id), and those are the cut's free edges. `_route_cut`
+    scans with them waived, with no separator: in exact mode the true
+    k-route sparsest cut, preferring among optimal sides one whose residual
+    crosses no INF edge, then the first, which lacks vertex n-1. No mode
+    enumerates free sets, yet both check the free-set budget, to refuse the
+    inputs they always have.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -519,7 +554,18 @@ def k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int, kind: CutKind,
     if count > cfg.free_set_budget:
         raise FreeSetBlowup(
             f"{count} free sets exceed budget {cfg.free_set_budget}")
-    return _route_cut(g, demands, fsize, kind, cfg)
+    return _route_cut(g, demands, kind, cfg, waive=fsize)
+
+
+def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
+                                kind: CutKind, cfg: OracleConfig) -> SparseCut:
+    """Minimizer over (side S, separator D) with |D| <= k-1 of the sparsity
+    of edges from S to the rest, with D removed from the graph: the same
+    `_route_cut` as the edge cuts, with k-1 separators and nothing waived.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _route_cut(g, demands, kind, cfg, separators=k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +717,16 @@ def l_multicut(g: Graph, demands: DemandSet, ell: int,
                cfg: OracleConfig) -> frozenset[int]:
     """Edge set separating at least ell demand pairs.
 
-    Exact mode minimizes total weight; greedy mode repeatedly removes the
-    cheapest single-pair minimum cut (no stated factor).
+    Exact mode minimizes total weight and, like the exact sparse cuts,
+    refuses graphs above exact_vertex_cap; greedy mode repeatedly removes
+    the cheapest single-pair minimum cut (no stated factor).
     """
     if ell < 0 or ell > demands.r:
         raise ValueError("ell must lie in [0, r]")
     if ell == 0:
         return frozenset()
     if cfg.mode == "exact":
+        _check_exact_cap(g.vertex_count, cfg)
         return _exact_multicut(g, demands, ell)
     return _greedy_multicut(g, demands, ell)
 
@@ -781,71 +829,3 @@ def k_route_sparsest_cut_bicriteria(g: Graph, demands: DemandSet, k: int,
     return SparseCut(side=side, kind=CutKind.NONUNIFORM, residual_weight=num,
                      denominator=den, sparsity=Fraction(num, den),
                      free_edges=frozenset(free))
-
-
-# ---------------------------------------------------------------------------
-# Vertex-flavored k-route sparsest cuts.
-
-
-def vertex_k_route_sparsest_cut(g: Graph, demands: DemandSet, k: int,
-                                kind: CutKind, cfg: OracleConfig) -> SparseCut:
-    """Minimizer over (side S, separator D) with |D| <= k-1 of the sparsity
-    of edges from S to the rest, with D removed from the graph.
-
-    Pairs with an endpoint inside the separator never count toward the
-    split-pair denominator; terminal-count denominators keep full counts.
-    Exact mode, and sweep mode up to SWEEP_EXACT_MAX vertices, read each
-    G - D from G's tables. Above it, sweep mode draws D from the
-    SEPARATOR_POOL vertices of most crossing weight on the plain coarse cut,
-    and scans G - D on its own tables, coarsened if still above the bound.
-    Ties: first D; within one D, a side across no INF edge, then first S.
-    The separator budget bounds the separators that are enumerated, so it
-    is checked only where the scan is exact; sweep mode above
-    SWEEP_EXACT_MAX tries at most 2^SEPARATOR_POOL of them.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if demands.r < 1:
-        raise ValueError("need at least one demand pair")
-    n = g.vertex_count
-    _check_exact_cap(n, cfg)
-    exact = _scans_exactly(g, cfg)
-    count = sum(math.comb(n, j) for j in range(k))
-    if exact and count > cfg.separator_budget:
-        raise SeparatorBlowup(f"{count} separators exceed budget {cfg.separator_budget}")
-    pool = range(n)
-    best = None  # (num, den, side frozenset, delta frozenset)
-    for size in range(k):
-        for delta in itertools.combinations(pool, size):
-            rest = [v for v in range(n) if v not in delta]
-            if len(rest) < 2:
-                continue
-            if exact:
-                found = _scan_masks(_mask_tables(g, demands), rest,
-                                    sum(1 << v for v in delta), kind)
-            else:
-                pos = {v: i for i, v in enumerate(rest)}
-                sub = (len(rest), [(pos[u], pos[v], w) for u, v, w in g.edges
-                                   if u in pos and v in pos],
-                       [demands.per_vertex.get(v, 0) for v in rest],
-                       [(pos[s], pos[t]) for s, t in demands.pairs
-                        if s in pos and t in pos])
-                found = (_scan_masks(_tables(*sub), range(len(rest)), 0, kind)
-                         if len(rest) <= SWEEP_EXACT_MAX else
-                         _coarse_scan(*sub, kind, 0, cfg))
-            if found is None:
-                continue
-            num, den, mask = found
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den, _side(mask, rest), frozenset(delta))
-        if size == 0 and not exact:  # best is the plain coarse cut of G
-            cut = [e for e in g.edges if (e.u in best[2]) != (e.v in best[2])]
-            weight = {x: sum(e.w for e in cut if x in e[:2])
-                      for e in cut for x in e[:2]}
-            pool = sorted(sorted(weight, key=lambda x: (-weight[x], x))
-                          [:SEPARATOR_POOL])
-    if best is None:
-        raise NoCandidateCut("no (side, separator) pair with positive denominator")
-    num, den, side, dset = best
-    return SparseCut(side=side, kind=kind, residual_weight=num, denominator=den,
-                     sparsity=Fraction(num, den), separator=dset)

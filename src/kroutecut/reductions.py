@@ -84,15 +84,12 @@ class Hypergraph:
 class ReductionMap:
     """Edge bookkeeping between a source instance and its image.
 
-    edge_groups[e] lists the image edges standing in for source edge e;
-    image_source[j] names the source edge behind image edge j (None for
-    structural infinite-weight edges). always_removed lists source edges the
-    reduction deleted outright, which every pulled-back solution includes.
+    edge_groups[e] lists the image edges standing in for source edge e.
+    always_removed lists source edges the reduction deleted outright, which
+    every pulled-back solution includes.
     """
 
     edge_groups: tuple[tuple[int, ...], ...]
-    image_source: tuple[int | None, ...]
-    vertex_image: tuple[int | None, ...] = ()
     always_removed: tuple[int, ...] = ()
 
     def push_forward(self, source_edges: Iterable[int]) -> frozenset[int]:
@@ -147,12 +144,7 @@ def ec_to_vc(inst: Instance) -> tuple[Instance, ReductionMap]:
     pairs = [(rep[s], rep[t]) for s, t in inst.demands.pairs]
     image = Instance(Graph(counter, image_edges), DemandSet(pairs), inst.k,
                      Flavor.VERTEX)
-    m = g.edge_count
-    rmap = ReductionMap(
-        edge_groups=tuple((e,) for e in range(m)),
-        image_source=tuple(list(range(m)) + [None] * (len(image_edges) - m)),
-        vertex_image=tuple(rep),
-    )
+    rmap = ReductionMap(edge_groups=tuple((e,) for e in range(g.edge_count)))
     return image, rmap
 
 
@@ -176,7 +168,6 @@ def vc_weighted_to_uniform(inst: Instance, opt_guess: int) -> tuple[Instance, Re
     n3 = n ** 3
     groups: list[tuple[int, ...]] = []
     image_edges: list[tuple[int, int, int]] = []
-    image_source: list[int | None] = []
     always_removed = []
     for eid, e in enumerate(g.edges):
         if e.w * n3 < opt_guess:
@@ -187,13 +178,10 @@ def vc_weighted_to_uniform(inst: Instance, opt_guess: int) -> tuple[Instance, Re
         copies = clipped * n3
         start = len(image_edges)
         image_edges.extend((e.u, e.v, 1) for _ in range(copies))
-        image_source.extend([eid] * copies)
         groups.append(tuple(range(start, start + copies)))
     image = Instance(Graph(n, image_edges), inst.demands, inst.k, Flavor.VERTEX)
     rmap = ReductionMap(
         edge_groups=tuple(groups),
-        image_source=tuple(image_source),
-        vertex_image=tuple(range(n)),
         always_removed=tuple(always_removed),
     )
     return image, rmap

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 import kroutecut
-from kroutecut import INF, Flavor, OracleConfig
+from kroutecut import (INF, Flavor, OracleConfig,
+                       k_route_sparsest_cut_bicriteria, l_multicut,
+                       num_edge_disjoint_paths)
 from kroutecut.cli import (_build_parser, _params_from_args, build_report,
                            gen_instance, parse_bipartite, parse_hypergraph,
                            parse_instance, render_bipartite, render_instance,
                            run, write_report)
-from kroutecut.errors import ParseError
+from kroutecut.errors import ExactCapExceeded, ParseError
 
 
 PATH_TEXT = "p krc ec 3 2 1 1\ne 0 1 1\ne 1 2 1\nd 0 2\n"
@@ -215,6 +217,35 @@ def test_cli_oracle_mode_only_for_multicut(tmp_path):
                     "--oracle", "exact"]) == 2
     assert run(["oracle", "multicut", "--input", str(inst_file),
                 "--oracle", "sweep"]) == 0
+
+
+def test_exact_multicut_refuses_graphs_above_the_cap(tmp_path, capsys):
+    # Exact mode refuses graphs above exact_vertex_cap in the multicut and in
+    # the bi-criteria oracle built on it, as the exact sparse cuts do; the
+    # greedy multicut still answers.
+    # On the cycle with vertex 0's edge to 1 tripled, pair (0, 1) has four
+    # routes, above ec-polytime's threshold of 3 at k = 2.
+    n = OracleConfig.exact_vertex_cap + 1
+    text = (f"p krc ec {n} {n + 2} 2 2\ne 0 1 1\ne 0 1 1\n"
+            + "".join(f"e {v} {(v + 1) % n} 1\n" for v in range(n))
+            + "d 0 1\nd 5 15\n")
+    inst = parse_instance(text)
+    g, d = inst.graph, inst.demands
+    with pytest.raises(ExactCapExceeded):
+        l_multicut(g, d, 2, OracleConfig())
+    with pytest.raises(ExactCapExceeded):
+        k_route_sparsest_cut_bicriteria(g, d, 2, OracleConfig())
+    rest, _ = g.without_edges(l_multicut(g, d, 2, OracleConfig(mode="sweep")))
+    assert all(num_edge_disjoint_paths(rest, s, t) == 0 for s, t in d.pairs)
+    inst_file = tmp_path / "c21.krc"
+    inst_file.write_text(text)
+    capsys.readouterr()
+    for argv in (["oracle", "multicut", "--oracle", "exact"],
+                 ["solve", "--alg", "ec-polytime", "--oracle", "exact"]):
+        assert run(argv + ["--input", str(inst_file)]) == 2, argv
+        assert f"{n} vertices exceeds exact cap" in capsys.readouterr().err
+    assert run(["oracle", "multicut", "--oracle", "sweep",
+                "--input", str(inst_file)]) == 0
 
 
 def test_cli_import_leaves_mpmath_unloaded():

@@ -477,14 +477,19 @@ def test_vertex_k_route_examples():
 
 
 def test_vertex_k1_equals_edge_sparsest():
+    # At k = 1 the vertex cut has no separator and the k-route cut no free
+    # edge, so all three oracles return the same route cut, field for field,
+    # in both modes and on both sides of SWEEP_EXACT_MAX.
     rng = random.Random(53)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(2, 6), rng.randint(1, 8))
+    for n_range, m_max in [((2, 6), 8)] * 15 + [(LARGE_N, 24), ((13, 16), 40)] * 3:
+        g = random_graph(rng, rng.randint(*n_range), rng.randint(1, m_max))
         d = DemandSet(random_pairs(rng, g.vertex_count, rng.randint(1, 3)))
-        v = vertex_k_route_sparsest_cut(g, d, 1, CutKind.NONUNIFORM, EXACT)
-        e = sparsest_cut(g, d, CutKind.NONUNIFORM, EXACT)
-        assert v.sparsity == e.sparsity
-        assert v.separator == frozenset()
+        for kind in CutKind:
+            for cfg in (EXACT, SWEEP):
+                e = sparsest_cut(g, d, kind, cfg)
+                assert vertex_k_route_sparsest_cut(g, d, 1, kind, cfg) == e
+                assert k_route_sparsest_cut(g, d, 1, kind, cfg) == e
+                assert e.separator == e.free_edges == frozenset()
 
 
 def test_vertex_k_route_matches_brute_force():
