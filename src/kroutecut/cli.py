@@ -319,7 +319,7 @@ def build_report(instance_id: str, algorithm: str, inst: Instance, result,
     }
     if ratio is not None:
         payload["opt"] = ratio.opt_weight
-        payload["ratio"] = str(ratio.ratio)
+        payload["ratio"] = None if ratio.ratio is None else str(ratio.ratio)
         payload["bound"] = None if ratio.bound is None else str(ratio.bound)
         payload["within_bound"] = ratio.within_bound
     if include_trace:

@@ -3,8 +3,10 @@
 Everything here is deliberately independent of the oracle implementations it
 is used to validate: subset enumeration and branch and bound only, written in
 the plainest possible style. The branch and bound reuses its own flow answers
-and skips only subtrees holding no feasible set, so it returns the set of the
-plain search that tests/test_exact.py keeps as its reference.
+and skips only subtrees holding no feasible set and nodes above an upper
+bound on the optimum, so it returns the set of the plain search that
+tests/test_exact.py keeps as its reference. The bound is the weight of a
+feasible set found by union-find alone, without flows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import CapExceeded, Infeasible
 from .graph import (INF, CutSolution, DemandSet, Flavor, Graph, Instance,
@@ -31,7 +33,7 @@ class RatioReport:
     algorithm: str
     solution_weight: int
     opt_weight: int
-    ratio: Fraction
+    ratio: Optional[Fraction]  # None when a zero optimum meets a positive weight
     bound: Optional[Fraction]
     within_bound: Optional[bool]
 
@@ -78,6 +80,58 @@ def log_lower(x: int, digits: int = 50) -> Fraction:
         guard *= 2
 
 
+def _heaviest_first(g: Graph) -> list[int]:
+    """Finite edge ids by weight, heaviest first, ties by id."""
+    finite = [i for i, e in enumerate(g.edges) if e.w < INF]
+    return sorted(finite, key=lambda i: (-g.edges[i].w, i))
+
+
+def feasible_cut(inst: Instance,
+                 pairs: Sequence[tuple[int, int]]) -> Optional[list[int]]:
+    """Finite edges whose removal leaves each pair under k disjoint paths,
+    found by union-find alone; None if a pair is joined by INF edges alone.
+
+    Disconnect: from G minus every finite edge, put back, heaviest first,
+    each edge whose return joins no pair; D is the rest. Each side S, the
+    component of a pair's s in G - D, then has its whole boundary in D.
+    Give back: heaviest first, return each edge of D while every side it
+    crosses has had fewer than k - 1 edges returned. Each pair's S then keeps
+    at most k - 1 boundary edges, so fewer than k edge-disjoint, and so fewer
+    than k vertex-disjoint, s-t paths remain.
+    """
+    g = inst.graph
+    root = list(range(g.vertex_count))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for e in g.edges:
+        if e.w == INF:
+            root[find(e.u)] = find(e.v)
+    if any(find(s) == find(t) for s, t in pairs):
+        return None
+    cut = []
+    for i in _heaviest_first(g):
+        a, b = find(g.edges[i].u), find(g.edges[i].v)
+        if a != b and any({find(s), find(t)} == {a, b} for s, t in pairs):
+            cut.append(i)
+        else:
+            root[a] = b
+    budget = {find(s): inst.k - 1 for s, _ in pairs}
+    removed = []
+    for i in cut:
+        sides = {find(g.edges[i].u), find(g.edges[i].v)} & budget.keys()
+        if all(budget[side] for side in sides):
+            for side in sides:
+                budget[side] -= 1
+        else:
+            removed.append(i)
+    return removed
+
+
 def brute_force_opt(inst: Instance) -> CutSolution:
     """Minimum-weight feasible cut by branch and bound over finite edges.
 
@@ -90,14 +144,16 @@ def brute_force_opt(inst: Instance) -> CutSolution:
 
     A feasible set cuts an edge of every such flow, and below a node only
     later edges are taken, so the node's loop ends at the earliest of its
-    pairs' latest finite flow edges. The skipped subtrees hold no feasible
-    set, so the same sets are met in the same order, and among equal
-    weights the lexicographically least sorted id tuple still wins.
+    pairs' latest finite flow edges. The search starts from the weight of
+    `feasible_cut`'s set when that is below the finite total. Only subtrees
+    holding no feasible set and nodes above a bound no less than the optimum
+    are skipped, so every node of optimal weight is still met, and among
+    equal weights the lexicographically least sorted id tuple still wins.
     """
     g = inst.graph
-    finite = [i for i, e in enumerate(g.edges) if e.w < INF]
-    if len(finite) > BRUTE_EDGE_CAP:
-        raise CapExceeded(f"{len(finite)} finite edges exceeds cap {BRUTE_EDGE_CAP}")
+    order = _heaviest_first(g)
+    if len(order) > BRUTE_EDGE_CAP:
+        raise CapExceeded(f"{len(order)} finite edges exceeds cap {BRUTE_EDGE_CAP}")
     k = inst.k
     paths = PathCounter(g, inst.flavor)
 
@@ -113,10 +169,9 @@ def brute_force_opt(inst: Instance) -> CutSolution:
         if used is not None:
             violated0.append((s, t, used))
     for s, t, _ in violated0:
-        if connected(s, t, finite) is not None:
+        if connected(s, t, order) is not None:
             raise Infeasible(f"pair ({s},{t}) stays {k}-connected without finite edges")
 
-    order = sorted(finite, key=lambda i: (-g.edges[i].w, i))
     pos = {e: j for j, e in enumerate(order)}
 
     def latest(used: frozenset[int]) -> int:
@@ -124,8 +179,16 @@ def brute_force_opt(inst: Instance) -> CutSolution:
         return max((pos[e] for e in used if e in pos), default=-1)
 
     # Removing every finite edge is feasible by the check above.
-    best_cost = sum(g.edges[i].w for i in finite)
-    best_ids = tuple(sorted(finite))
+    best_cost = sum(g.edges[i].w for i in order)
+    best_ids = tuple(sorted(order))
+    # A cheaper feasible set only bounds the search: it may hold needless
+    # zero-weight edges, and then its ids could win a tie against the search's
+    # own leaf. So its ids are a sentinel that sorts after every id tuple.
+    cut = feasible_cut(inst, [(s, t) for s, t, _ in violated0])
+    if cut is not None:
+        bound = sum(g.edges[i].w for i in cut)
+        if bound < best_cost:
+            best_cost, best_ids = bound, (g.edge_count,)
 
     def dfs(idx: int, removed: list[int], cost: int, violated) -> None:
         nonlocal best_cost, best_ids
@@ -260,17 +323,20 @@ def cost_bound(algorithm: str, inst: Instance, delta: Fraction = Fraction(0),
 def ratio_report(inst: Instance, algorithm_name: str, sol: SolveResult,
                  instance_id: str = "", delta: Fraction = Fraction(0),
                  c: Fraction = Fraction(1)) -> RatioReport:
-    """Solution weight against the brute-force optimum at the original k."""
+    """Solution weight against the brute-force optimum at the original k.
+
+    A positive weight against a zero optimum has no finite ratio: the ratio
+    is None, and so is within_bound unless the algorithm has a bound, which
+    such a solution then misses.
+    """
     opt = brute_force_opt(inst)
     sw = sol.solution.total_weight
-    if opt.total_weight == 0:
-        if sw != 0:
-            raise ValueError("positive-weight solution on a zero-cost instance")
-        ratio = Fraction(1)
-    else:
+    if opt.total_weight:
         ratio = Fraction(sw, opt.total_weight)
+    else:
+        ratio = None if sw else Fraction(1)
     bound = cost_bound(algorithm_name, inst, delta=delta, c=c)
-    within = None if bound is None else ratio <= bound
+    within = None if bound is None else ratio is not None and ratio <= bound
     return RatioReport(instance_id=instance_id, algorithm=algorithm_name,
                        solution_weight=sw, opt_weight=opt.total_weight,
                        ratio=ratio, bound=bound, within_bound=within)

@@ -135,6 +135,27 @@ def test_cli_solve_with_ratio(tmp_path):
     assert "bound" in payload
 
 
+@pytest.mark.parametrize("alg, text, within", [
+    ("vc", "p krc vc 3 4 1 2\ne 2 0 0\ne 0 2 0\ne 0 2 1\ne 1 0 0\nd 0 2\n",
+     None),
+    ("two-route", "p krc vc 3 3 3 2\ne 2 1 0\ne 2 1 3\ne 0 1 0\n"
+     "d 1 2\nd 2 1\nd 0 1\n", False)], ids=["vc", "two-route"])
+def test_cli_ratio_against_zero_optimum(tmp_path, alg, text, within):
+    # The solvers pay for edges the optimum does without: no finite ratio,
+    # and a bound, where the algorithm has one, is missed.
+    inst_file = tmp_path / "z.krc"
+    inst_file.write_text(text)
+    report = tmp_path / "out.json"
+    code = run(["solve", "--alg", alg, "--input", str(inst_file), "--ratio",
+                "--report", str(report)])
+    assert code == 0
+    payload = json.loads(report.read_text())
+    assert payload["opt"] == 0 < payload["weight"]
+    assert payload["ratio"] is None
+    assert payload["within_bound"] is within
+    assert (payload["bound"] is None) == (within is None)
+
+
 def test_cli_trace_flag(tmp_path):
     inst_file = tmp_path / "p.krc"
     inst_file.write_text(PATH_TEXT)

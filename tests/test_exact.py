@@ -10,7 +10,7 @@ from kroutecut import (DemandSet, Flavor, Graph, INF, Instance, SolverParams,
 from kroutecut.errors import CapExceeded, Infeasible
 from kroutecut.graph import FlowNet
 from kroutecut.exact import (brute_force_opt, brute_force_sparsest,
-                             cost_bound, log_lower, ratio_report,
+                             cost_bound, feasible_cut, log_lower, ratio_report,
                              route_sparsity_vs_opt,
                              two_route_vertex_sparsity_vs_opt,
                              uniform_sparsity_vs_opt)
@@ -68,6 +68,35 @@ def test_brute_force_dominates_any_feasible():
         sol = CutSolution.from_edges(inst.graph, finite, inst.k)
         if is_feasible(inst, sol, inst.k):
             assert opt.total_weight <= sol.total_weight
+
+
+def test_feasible_cut_is_feasible_and_bounds_opt():
+    from kroutecut import is_feasible, CutSolution
+    rng = random.Random(167)
+    found = 0
+    for i in range(300):
+        flavor = (Flavor.EDGE, Flavor.VERTEX)[i % 2]
+        n = rng.randint(2, 6)
+        g = random_graph(rng, n, rng.randint(1, 10), wmin=0, wmax=4,
+                         inf_prob=0.15)
+        inst = Instance(g, DemandSet(random_pairs(rng, n, rng.randint(1, 3))),
+                        rng.randint(1, 3), flavor)
+        cut = feasible_cut(inst, inst.demands.pairs)
+        if cut is None:
+            continue
+        found += 1
+        sol = CutSolution.from_edges(g, cut, inst.k)
+        assert is_feasible(inst, sol, inst.k)
+        assert sol.total_weight >= brute_force_opt(inst).total_weight
+    assert found > 200
+
+
+def test_feasible_cut_gives_up_on_an_inf_path():
+    # Pair (0,2) is joined by INF edges alone; cutting the direct edge still
+    # leaves it one path under k = 2.
+    inst = make_instance(3, [(0, 1, INF), (1, 2, INF), (0, 2, 1)], [(0, 2)], 2)
+    assert feasible_cut(inst, inst.demands.pairs) is None
+    assert brute_force_opt(inst).removed_edge_ids == frozenset({2})
 
 
 def _brute_force_opt_reference(inst):
@@ -157,16 +186,21 @@ def test_brute_force_opt_matches_plain_search(monkeypatch):
         if spent is not None:
             solved.append(spent)
     assert len(solved) > 400
-    # The witness bound: the same search without it spends 19 244 flows.
-    assert sum(solved) <= 16_306
-    # The bound's edge cases, at k = 1, 2, 3 and in both flavors: pair (0,2)
+    # The search spends 19 244 flows without the witness bound, 16 306 with
+    # it, and 10 973 when feasible_cut's weight is its starting bound too.
+    assert sum(solved) <= 10_973
+    # The bounds' edge cases, at k = 1, 2, 3 and in both flavors: pair (0,2)
     # has only INF edges past its heaviest, first-ordered edge; pair (0,1) of
-    # the second graph is joined by two direct edges, one of weight 0.
+    # the second graph is joined by two direct edges, one of weight 0. At
+    # k = 2, feasible_cut's set for the third graph is {0, 1}, of OPT's
+    # weight but with a needless zero-weight edge: were it a candidate, it
+    # would beat the search's {1} on the tie.
     for n, edges, pairs in [
             (5, [(0, 1, 5), (1, 2, INF), (0, 3, 1), (3, 2, INF), (3, 4, 1),
                  (2, 4, 2)], [(0, 2), (3, 4)]),
             (4, [(0, 1, 2), (0, 1, 0), (0, 2, 1), (2, 1, 1), (0, 3, 1),
-                 (3, 1, INF)], [(0, 1), (2, 3)])]:
+                 (3, 1, INF)], [(0, 1), (2, 3)]),
+            (3, [(1, 2, 0), (1, 0, 1), (1, 2, 2), (0, 2, INF)], [(0, 1)])]:
         for k in (1, 2, 3):
             for flavor in Flavor:
                 check(make_instance(n, edges, pairs, k, flavor))
